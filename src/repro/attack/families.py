@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Mapping, Optional, Sequence
+from typing import Dict, Generator, List, Optional, Sequence
 
 from repro.attack.node import AttackerNode
 from repro.cgn.families import jain_fairness, nat444_factory
@@ -677,11 +677,29 @@ class AttackRstProbe:
 # ---------------------------------------------------------------------------
 
 
-def _attack_knobs(knobs: Mapping) -> Dict[str, float]:
-    return {
-        "rate": float(knobs.get("attack_rate", DEFAULT_ATTACK_RATE)),
-        "duration": float(knobs.get("attack_duration", DEFAULT_ATTACK_DURATION)),
-    }
+registry.register_tier(registry.Tier(
+    name="attack",
+    order=20,
+    families=("attack_portflood", "attack_keepalive", "attack_rst"),
+    help="run the adversarial NAT-abuse families (attack_portflood, attack_keepalive, "
+    "attack_rst) through the NAT444 chain; appends to --families if given",
+))
+registry.register_knob(registry.Knob(
+    name="attack_rate",
+    type=float,
+    default=DEFAULT_ATTACK_RATE,
+    help="attacker packet rate in pkt/s (default: 50)",
+    flag="--attack-rate",
+    tier="attack",
+))
+registry.register_knob(registry.Knob(
+    name="attack_duration",
+    type=float,
+    default=DEFAULT_ATTACK_DURATION,
+    help="flood duration in seconds (default: 20)",
+    flag="--attack-duration",
+    tier="attack",
+))
 
 
 def encode_portflood_result(result: AttackPortfloodResult) -> Dict:
@@ -882,8 +900,8 @@ registry.register_family(registry.ExperimentFamily(
     result_type=AttackPortfloodResult,
     description="NAT444 binding-exhaustion flood: per-tier onset + innocent collateral",
     probe_factory=lambda knobs: AttackPortfloodProbe(
-        rate=_attack_knobs(knobs)["rate"],
-        duration=_attack_knobs(knobs)["duration"],
+        rate=knobs["attack_rate"],
+        duration=knobs["attack_duration"],
     ).run_all,
     encode_cell=encode_portflood_result,
     decode_cell=decode_portflood_result,
@@ -908,9 +926,7 @@ registry.register_family(registry.ExperimentFamily(
     order=320,
     result_type=AttackRstResult,
     description="Off-path RST binding teardown through the NAT444 chain",
-    probe_factory=lambda knobs: AttackRstProbe(
-        rate=_attack_knobs(knobs)["rate"],
-    ).run_all,
+    probe_factory=lambda knobs: AttackRstProbe(rate=knobs["attack_rate"]).run_all,
     encode_cell=encode_rst_result,
     decode_cell=decode_rst_result,
     testbed_factory=nat444_factory,

@@ -363,16 +363,45 @@ class CgnExhaustionProbe:
 # ---------------------------------------------------------------------------
 
 
+registry.register_tier(registry.Tier(
+    name="cgn",
+    order=10,
+    families=("cgn_timeouts", "cgn_exhaustion"),
+    help="run the NAT444 families (cgn_timeouts, cgn_exhaustion) behind a "
+    "carrier-grade NAT; appends to --families if given",
+))
+registry.register_knob(registry.Knob(
+    name="cgn_subscribers",
+    type=int,
+    default=8,
+    help="home gateways behind each CGN (default: 8)",
+    flag="--subscribers",
+    dest="subscribers",
+    tier="cgn",
+))
+registry.register_knob(registry.Knob(
+    name="cgn_block_size",
+    type=int,
+    default=16,
+    help="external ports per CGN allocation block (default: 16)",
+    flag="--block-size",
+    dest="block_size",
+    tier="cgn",
+))
+
+
 def cgn_policy_for(knobs: Mapping) -> CgnPolicy:
     """The campaign's CGN policy, derived from the survey knobs.
 
     The pool is sized at two blocks per subscriber — half the default
     four-block quota — so exhaustion is *pool-bound* (the shared-resource
     contention CGN deployments actually hit) rather than an artifact of the
-    per-subscriber cap.
+    per-subscriber cap.  ``knobs`` may be partial; the rest take their
+    declared defaults.
     """
-    subscribers = int(knobs.get("cgn_subscribers", 8))
-    block_size = int(knobs.get("cgn_block_size", 16))
+    knobs = registry.knob_values(knobs)
+    subscribers = knobs["cgn_subscribers"]
+    block_size = knobs["cgn_block_size"]
     return CgnPolicy(
         block_size=block_size,
         pool_ports=2 * subscribers * block_size,
@@ -380,8 +409,9 @@ def cgn_policy_for(knobs: Mapping) -> CgnPolicy:
 
 
 def nat444_factory(knobs: Mapping):
-    """``testbed_factory`` hook: knobs -> ``build(profiles, seed)``."""
-    subscribers = int(knobs.get("cgn_subscribers", 8))
+    """``testbed_factory`` hook: knobs (may be partial) -> ``build(profiles, seed)``."""
+    knobs = registry.knob_values(knobs)
+    subscribers = knobs["cgn_subscribers"]
     policy = cgn_policy_for(knobs)
 
     def build(profiles, seed):

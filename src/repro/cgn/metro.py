@@ -671,45 +671,44 @@ class MetroSegmentIsland:
 # ---------------------------------------------------------------------------
 
 
-def metro_policy_for(knobs: Mapping) -> CgnPolicy:
-    """Carrier policy for metro runs: pool sized so load never refuses.
-
-    ``metro_load`` measures delivered load and binding churn, not
-    exhaustion — the pool gets four blocks' worth of ports per subscriber
-    so refusals cannot leak scheduling noise into the cells.
-    """
-    subscribers = int(knobs.get("cgn_subscribers", 8))
-    block_size = int(knobs.get("cgn_block_size", 16))
-    return CgnPolicy(block_size=block_size, pool_ports=4 * subscribers * block_size)
-
-
-def metro_plan_for(knobs: Mapping) -> MetroLoadPlan:
-    """The load schedule implied by the campaign knobs."""
-    return MetroLoadPlan(
-        subscribers=int(knobs.get("cgn_subscribers", 8)),
-        requests=int(knobs.get("metro_requests", 8)),
-        idle=float(knobs.get("metro_idle", 0.0)),
-    )
+registry.register_tier(registry.Tier(
+    name="metro",
+    order=30,
+    families=("metro_load",),
+    help="run the metro-scale NAT444 family (metro_load): one CGN segment per "
+    "device tag behind a shared core; appends to --families if given",
+))
+registry.register_knob(registry.Knob(
+    name="metro_requests",
+    type=int,
+    default=8,
+    help="echo requests per metro subscriber (default: 8)",
+    flag="--metro-requests",
+    tier="metro",
+))
+registry.register_knob(registry.Knob(
+    name="metro_idle",
+    type=float,
+    default=0.0,
+    help="idle seconds spliced into the middle of each metro subscriber's schedule "
+    "(drives NAT bindings through expiry; default: 0)",
+    flag="--metro-idle",
+    tier="metro",
+))
+registry.register_knob(registry.Knob(
+    name="metro_flap",
+    type=str,
+    default="",
+    help="flap one segment's core link, e.g. tag=al,at=30.1,for=0.2",
+    flag="--metro-flap",
+    metavar="SPEC",
+    tier="metro",
+))
 
 
 def metro_factory(knobs: Mapping):
-    """``testbed_factory`` hook: knobs -> ``build(profiles, seed)``."""
-    subscribers = int(knobs.get("cgn_subscribers", 8))
-    policy = metro_policy_for(knobs)
-    plan = metro_plan_for(knobs)
-    flap = MetroFlap.parse(str(knobs.get("metro_flap", "")))
-
-    def build(profiles, seed):
-        return MetroTopology.build(
-            profiles,
-            seed=seed,
-            subscribers=subscribers,
-            cgn_policy=policy,
-            plan=plan,
-            flap=flap,
-        )
-
-    return build
+    """``testbed_factory`` hook: knobs -> ``build(profiles, seed)`` (the reference build)."""
+    return MetroPartitionHooks(knobs).build_full
 
 
 class MetroLoadProbe:
@@ -731,10 +730,16 @@ class MetroPartitionHooks:
     """
 
     def __init__(self, knobs: Mapping):
-        self.subscribers = int(knobs.get("cgn_subscribers", 8))
-        self.policy = metro_policy_for(knobs)
-        self.plan = metro_plan_for(knobs)
-        self.flap = MetroFlap.parse(str(knobs.get("metro_flap", "")))
+        self.subscribers = knobs["cgn_subscribers"]
+        block_size = knobs["cgn_block_size"]
+        #: ``metro_load`` measures delivered load and binding churn, not
+        #: exhaustion — the pool gets four blocks' worth of ports per
+        #: subscriber so refusals cannot leak scheduling noise into the cells.
+        self.policy = CgnPolicy(block_size=block_size, pool_ports=4 * self.subscribers * block_size)
+        self.plan = MetroLoadPlan(
+            subscribers=self.subscribers, requests=knobs["metro_requests"], idle=knobs["metro_idle"]
+        )
+        self.flap = MetroFlap.parse(knobs["metro_flap"])
         #: Conservative sync slack: the boundary links' propagation delay.
         self.lookahead = CORE_DELAY
         #: The hub stops granting windows once the global event floor

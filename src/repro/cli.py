@@ -40,7 +40,7 @@ from repro.core import (
     UdpTimeoutProbe,
     registry,
 )
-from repro.core.results import DeviceSeries, Summary
+from repro.core.results import DeviceSeries
 from repro.devices import CATALOG, catalog_profiles
 from repro.obs import ObsConfig, ShardObserver, render_summary, summarize_paths
 from repro.testbed import Testbed
@@ -61,27 +61,9 @@ PROBE_CHOICES = tuple(
     "options", "binding-rate", "pmtu",
 )
 
-#: The families ``--cgn`` adds to (or selects for) a campaign.
-CGN_FAMILIES = ("cgn_timeouts", "cgn_exhaustion")
-
-#: The families ``--attack`` adds to (or selects for) a campaign.
-ATTACK_FAMILIES = ("attack_portflood", "attack_keepalive", "attack_rst")
-
-#: The families ``--metro`` adds to (or selects for) a campaign — the
-#: partitionable metro-scale tier (also the ``--partitions`` default menu).
-METRO_FAMILIES = ("metro_load",)
-
-#: The families ``--matrix`` adds to (or selects for) a campaign — the
-#: pairwise NAT-traversal tier (subject kind ``pair``).
-MATRIX_FAMILIES = ("traversal_matrix",)
-
-#: The families ``--workload`` adds to (or selects for) a campaign — the
-#: subscriber application-mix tier (offered-load ramp + firewall cost).
-WORKLOAD_FAMILIES = ("workload_mix", "fwcost_scaling")
-
-#: Per-command fallbacks when neither ``--tests`` nor ``--families`` nor
-#: ``--cgn`` picked anything.  Kept out of argparse defaults so the commands
-#: can tell "user chose these" from "nothing chosen".
+#: Per-command fallbacks when neither ``--tests`` nor ``--families`` nor a
+#: tier switch (``--cgn`` …) picked anything.  Kept out of argparse defaults
+#: so the commands can tell "user chose these" from "nothing chosen".
 DEFAULT_SURVEY_TESTS = ["udp1", "tcp1", "tcp4"]
 DEFAULT_REPORT_TESTS = ["udp1", "udp2", "udp3", "tcp1", "tcp4"]
 DEFAULT_BENCH_TESTS = ["udp1", "tcp2"]
@@ -106,8 +88,9 @@ def _parse_chaos(args):
     from repro.netsim.impair import Impairment
 
     try:
-        impairment = Impairment.parse(args.impair) if args.impair else None
-        faults = [FaultSpec.parse(text) for text in (args.fault or [])]
+        impair = getattr(args, "impair", None)
+        impairment = Impairment.parse(impair) if impair else None
+        faults = [FaultSpec.parse(text) for text in (getattr(args, "fault", None) or [])]
     except ValueError as exc:
         raise SystemExit(f"bad chaos spec: {exc}") from None
     return impairment, faults
@@ -145,25 +128,16 @@ def _family_selection(args) -> Optional[List[str]]:
 
 
 def _cgn_selection(args, base: Optional[List[str]], default: List[str]) -> List[str]:
-    """Fold ``--cgn``/``--attack``/``--metro`` into a family selection.
+    """Fold the tier switches (``--cgn``/``--attack``/…) into a family selection.
 
     With an explicit ``--tests``/``--families`` selection the opt-in
-    families are appended; with none, ``--cgn``/``--attack``/``--metro``
-    alone means "that campaign" (just those families, not them plus the
-    command's default menu).  With no flag at all the command's own
-    ``default`` fills in.
+    families are appended; with none, a tier switch alone means "that
+    campaign" (just its families, not them plus the command's default
+    menu).  With no switch at all the command's own ``default`` fills in.
     """
-    extra: List[str] = []
-    if getattr(args, "cgn", False):
-        extra.extend(CGN_FAMILIES)
-    if getattr(args, "attack", False):
-        extra.extend(ATTACK_FAMILIES)
-    if getattr(args, "metro", False):
-        extra.extend(METRO_FAMILIES)
-    if getattr(args, "matrix", False):
-        extra.extend(MATRIX_FAMILIES)
-    if getattr(args, "workload", False):
-        extra.extend(WORKLOAD_FAMILIES)
+    extra = [
+        name for tier in registry.tiers() if getattr(args, tier.name, False) for name in tier.families
+    ]
     if not extra:
         return base if base is not None else list(default)
     if base is None:
@@ -291,11 +265,9 @@ def cmd_probe(args, out) -> int:
 
 def cmd_survey(args, out) -> int:
     tags = _resolve_tags(args.tags)
-    if args.partitions is not None:
-        return _run_campaign_partitioned(args, tags, out)
-    if (args.families or args.cgn or args.attack or args.metro or args.matrix
-            or args.workload or args.out or args.resume or args.jobs > 1):
-        return _run_campaign_survey(args, tags, out)
+    if (args.families or args.out or args.resume or args.jobs > 1 or args.partitions is not None
+            or any(getattr(args, tier.name) for tier in registry.tiers())):
+        return _run_campaign(args, tags, out)
     csv_dir = pathlib.Path(args.csv_dir) if args.csv_dir else None
     if csv_dir:
         csv_dir.mkdir(parents=True, exist_ok=True)
@@ -316,99 +288,77 @@ def cmd_survey(args, out) -> int:
     return 0
 
 
-def _run_campaign_survey(args, tags: Sequence[str], out) -> int:
-    """The durable campaign path: SurveyRunner + optional store/resume."""
-    from repro.core import SurveyRunner
-    from repro.core.store import StoreError
+def _runner_from_args(args, tags: Sequence[str]):
+    """The campaign runner a ``survey``/``report``/``bench`` invocation describes.
 
-    if args.resume and not args.out:
-        raise SystemExit("--resume needs --out DIR (the store to resume from)")
-    runner = SurveyRunner(
+    Every declared knob whose ``dest`` the command parsed is forwarded; the
+    rest keep their declared defaults.  A ``--partitions`` run takes only
+    the generated tier flags: a command's own per-device flags
+    (``--repetitions`` …) carry command defaults that no partitionable
+    family reads, and forwarding them would re-key the partitioned store.
+    """
+    from repro.core import SurveyRunner
+    from repro.core.partition import PartitionRunner
+
+    partitions = getattr(args, "partitions", None)
+    knobs = {
+        knob.name: getattr(args, knob.dest)
+        for knob in registry.knobs()
+        if hasattr(args, knob.dest) and (partitions is None or knob.flag is not None)
+    }
+    impairment, faults = _parse_chaos(args)
+    config = dict(
         profiles=catalog_profiles(tags),
         seed=args.seed,
-        udp_repetitions=args.repetitions,
-        cgn_subscribers=args.subscribers,
-        cgn_block_size=args.block_size,
-        attack_rate=args.attack_rate,
-        attack_duration=args.attack_duration,
-        metro_requests=args.metro_requests,
-        metro_idle=args.metro_idle,
-        metro_flap=args.metro_flap,
-        matrix_pairs=args.matrix_pairs,
-        matrix_cgn=args.matrix_cgn,
-        workload_mix=args.workload_mix,
-        workload_ramp=args.load_ramp,
-        fw_rules=args.fw_rules,
         jobs=args.jobs,
         fastpath=not args.no_fastpath,
+        impairment=impairment,
+        faults=faults,
         trace_dir=args.trace,
         pcap_dir=args.pcap,
         metrics=args.metrics,
-        store_dir=args.out,
-        resume=args.resume,
+        store_dir=getattr(args, "out", None),
+        resume=getattr(args, "resume", False),
+        **knobs,
     )
+    if partitions is None:
+        return SurveyRunner(**config)
+    return PartitionRunner(partitions=partitions, **config)
+
+
+def _run_from_args(args, tags: Sequence[str], default: List[str]):
+    """Build and run the campaign the flags describe: ``(runner, selected, results)``."""
+    from repro.core.partition import PartitionError
+    from repro.core.store import StoreError
+
+    if getattr(args, "partitions", None) is not None:
+        default = list(registry.partitionable_names())
+    selected = _cgn_selection(args, _family_selection(args), default)
     try:
-        results = runner.run(
-            tests=_cgn_selection(args, _family_selection(args), DEFAULT_SURVEY_TESTS)
-        )
-    except ValueError as exc:
+        runner = _runner_from_args(args, tags)
+        return runner, selected, runner.run(tests=selected)
+    except (ValueError, StoreError, PartitionError) as exc:
         raise SystemExit(str(exc)) from None
-    except StoreError as exc:
-        raise SystemExit(str(exc)) from None
+
+
+def _run_campaign(args, tags: Sequence[str], out) -> int:
+    """The durable campaign path: a survey (or ``--partitions``) runner + store/resume."""
+    if args.resume and not args.out:
+        raise SystemExit("--resume needs --out DIR (the store to resume from)")
+    runner, _selected, results = _run_from_args(args, tags, DEFAULT_SURVEY_TESTS)
+    partitioned = args.partitions is not None
     for name, mapping in results.families.items():
-        descriptor = registry.get(name)
-        cells = descriptor.cells_of(mapping) if descriptor is not None else mapping
-        unit = descriptor.subject_kind if descriptor is not None else "device"
-        out(f"{name:>10}: {len(cells)} {unit}(s)")
+        descriptor = registry.family(name)
+        unit = "segment" if partitioned else descriptor.subject_kind
+        out(f"{name:>10}: {len(descriptor.cells_of(mapping))} {unit}(s)")
+    if partitioned:
+        out(f"partitions: {runner.partitions}   sync rounds: {runner.last_sync_rounds}   "
+            f"boundary frames: {runner.last_boundary_frames}")
     if args.out:
         skipped = f" ({runner.last_skipped_cells} cell(s) reused)" if args.resume else ""
         out(f"store: {args.out}{skipped}")
     _report_errors(results, out)
     return 0 if results.complete else 1
-
-
-def _partition_runner(args, tags: Sequence[str]):
-    """Build the PartitionRunner shared by ``survey``/``bench --partitions``."""
-    from repro.core.partition import PartitionRunner
-
-    return PartitionRunner(
-        profiles=catalog_profiles(tags),
-        seed=args.seed,
-        partitions=args.partitions,
-        cgn_subscribers=args.subscribers,
-        cgn_block_size=args.block_size,
-        metro_requests=args.metro_requests,
-        metro_idle=args.metro_idle,
-        metro_flap=args.metro_flap,
-        fastpath=not args.no_fastpath,
-        store_dir=getattr(args, "out", None),
-        resume=getattr(args, "resume", False),
-    )
-
-
-def _run_campaign_partitioned(args, tags: Sequence[str], out) -> int:
-    """The ``--partitions N`` path: one topology cut across worker processes."""
-    from repro.core.partition import PartitionError
-    from repro.core.store import StoreError
-
-    if args.resume and not args.out:
-        raise SystemExit("--resume needs --out DIR (the store to resume from)")
-    runner = _partition_runner(args, tags)
-    selection = _cgn_selection(args, _family_selection(args), list(METRO_FAMILIES))
-    try:
-        results = runner.run(tests=selection)
-    except (PartitionError, StoreError) as exc:
-        raise SystemExit(str(exc)) from None
-    for name, mapping in results.families.items():
-        descriptor = registry.get(name)
-        cells = descriptor.cells_of(mapping) if descriptor is not None else mapping
-        out(f"{name:>10}: {len(cells)} segment(s)")
-    out(f"partitions: {runner.partitions}   sync rounds: {runner.last_sync_rounds}   "
-        f"boundary frames: {runner.last_boundary_frames}")
-    if args.out:
-        skipped = f" ({runner.last_skipped_cells} cell(s) reused)" if args.resume else ""
-        out(f"store: {args.out}{skipped}")
-    return 0
 
 
 def cmd_classify(args, out) -> int:
@@ -432,8 +382,6 @@ def cmd_classify(args, out) -> int:
 
 def cmd_report(args, out) -> int:
     from repro.analysis import render_report
-    from repro.core import SurveyRunner
-    from repro.devices import catalog_profiles as _profiles
 
     if args.from_dir:
         from repro.core.store import CampaignStore, StoreError
@@ -443,49 +391,12 @@ def cmd_report(args, out) -> int:
             results = store.load_results()
         except StoreError as exc:
             raise SystemExit(str(exc)) from None
-        title = f"Home gateway survey ({len(store.devices())} devices)"
-        report = render_report(results, title=title)
-        if args.output:
-            pathlib.Path(args.output).write_text(report)
-            out(f"wrote {args.output}")
-        else:
-            out(report)
-        return 0
-
-    tags = _resolve_tags(args.tags)
-    impairment, faults = _parse_chaos(args)
-    runner = SurveyRunner(
-        profiles=_profiles(tags),
-        seed=args.seed,
-        udp_repetitions=args.repetitions,
-        udp5_repetitions=1,
-        cgn_subscribers=args.subscribers,
-        cgn_block_size=args.block_size,
-        attack_rate=args.attack_rate,
-        attack_duration=args.attack_duration,
-        metro_requests=args.metro_requests,
-        metro_idle=args.metro_idle,
-        metro_flap=args.metro_flap,
-        matrix_pairs=args.matrix_pairs,
-        matrix_cgn=args.matrix_cgn,
-        workload_mix=args.workload_mix,
-        workload_ramp=args.load_ramp,
-        fw_rules=args.fw_rules,
-        jobs=args.jobs,
-        fastpath=not args.no_fastpath,
-        impairment=impairment,
-        faults=faults,
-        trace_dir=args.trace,
-        pcap_dir=args.pcap,
-        metrics=args.metrics,
-    )
-    try:
-        results = runner.run(
-            tests=_cgn_selection(args, _family_selection(args), DEFAULT_REPORT_TESTS)
-        )
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
-    report = render_report(results, title=f"Home gateway survey ({len(tags)} devices)")
+        devices = len(store.devices())
+    else:
+        tags = _resolve_tags(args.tags)
+        _runner, _selected, results = _run_from_args(args, tags, DEFAULT_REPORT_TESTS)
+        devices = len(tags)
+    report = render_report(results, title=f"Home gateway survey ({devices} devices)")
     if args.output:
         pathlib.Path(args.output).write_text(report)
         out(f"wrote {args.output}")
@@ -499,192 +410,99 @@ def cmd_report(args, out) -> int:
 
 
 def cmd_bench(args, out) -> int:
-    from repro.core import SurveyRunner, write_bench_json
-    from repro.devices import catalog_profiles as _profiles
+    """Time a campaign (``--partitions N``: a partitioned one) and dump its counters.
 
-    tags = _resolve_tags(args.tags)
-    if args.partitions is not None:
-        return _bench_partitioned(args, tags, out)
-    impairment, faults = _parse_chaos(args)
-    runner = SurveyRunner(
-        profiles=_profiles(tags),
-        seed=args.seed,
-        udp_repetitions=args.repetitions,
-        udp5_repetitions=1,
-        tcp1_cutoff=args.tcp1_cutoff,
-        transfer_bytes=args.transfer_bytes,
-        cgn_subscribers=args.subscribers,
-        cgn_block_size=args.block_size,
-        attack_rate=args.attack_rate,
-        attack_duration=args.attack_duration,
-        metro_requests=args.metro_requests,
-        metro_idle=args.metro_idle,
-        metro_flap=args.metro_flap,
-        matrix_pairs=args.matrix_pairs,
-        matrix_cgn=args.matrix_cgn,
-        workload_mix=args.workload_mix,
-        workload_ramp=args.load_ramp,
-        fw_rules=args.fw_rules,
-        jobs=args.jobs,
-        fastpath=not args.no_fastpath,
-        impairment=impairment,
-        faults=faults,
-        trace_dir=args.trace,
-        pcap_dir=args.pcap,
-        metrics=args.metrics,
-    )
-    selected = _cgn_selection(args, _family_selection(args), DEFAULT_BENCH_TESTS)
-    try:
-        results = runner.run(tests=selected)
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
-    stats = results.stats
-    out(f"devices: {len(tags)}   families: {' '.join(selected)}   jobs: {args.jobs}")
-    if impairment is not None or faults:
-        out(f"impairment: {args.impair or 'none'}   faults: {', '.join(args.fault or []) or 'none'}")
-    out(f"elapsed: {runner.last_elapsed:.2f}s wall   {stats.wall_seconds:.2f}s cpu (shard sum)")
-    out(f"events: {stats.events_processed}   events/sec (cpu): {stats.events_per_sec:.0f}")
-    out(f"segments modeled: {stats.segments_modeled}   "
-        f"fastpath saved: {stats.fastpath_events_saved} events "
-        f"in {stats.fastpath_windows} windows")
-    out(f"stale-entry purges: {stats.stale_purges} ({stats.stale_entries_purged} entries)")
-    for family in selected:
-        wall = stats.family_wall.get(family, 0.0)
-        events = stats.family_events.get(family, 0)
-        segments = stats.family_segments.get(family, 0)
-        out(f"  {family:>10}  {wall:8.2f}s  {events:>9} events  {segments:>9} segments")
-    _report_errors(results, out)
-    if args.output:
-        from repro.core.store import SCHEMA_VERSION
-
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "config_hash": runner.fingerprint(),
-            "campaign": {
-                "devices": len(tags),
-                "tests": list(selected),
-                "seed": args.seed,
-                "repetitions": args.repetitions,
-                "tcp1_cutoff": args.tcp1_cutoff,
-                "transfer_bytes": args.transfer_bytes,
-                "impairment": impairment.describe() if impairment is not None else None,
-                "faults": [fault.describe() for fault in faults],
-                "cgn_subscribers": args.subscribers,
-                "cgn_block_size": args.block_size,
-                "attack_rate": args.attack_rate,
-                "attack_duration": args.attack_duration,
-                "matrix_pairs": args.matrix_pairs,
-                "matrix_cgn": args.matrix_cgn,
-                "workload_mix": args.workload_mix,
-                "workload_ramp": args.load_ramp,
-                "fw_rules": args.fw_rules,
-                "fastpath": not args.no_fastpath,
-            },
-            "elapsed_wall_seconds": round(runner.last_elapsed, 3),
-            "shard_errors": [
-                {"tag": error.tag, "family": error.family, "error": error.error, "message": error.message}
-                for error in results.errors
-            ],
-            "stats": stats.as_dict(),
-        }
-        if results.metrics is not None:
-            payload["metrics"] = results.metrics.as_dict()
-        from repro.workload.families import scaling_curves
-
-        curves = scaling_curves(results)
-        if curves is not None:
-            # The workload tier's deliverable: the decoded scaling curves
-            # ride in the bench dump (BENCH_workload.json) so the loss
-            # curves are diffable without replaying the campaign.
-            payload["curves"] = curves
-        write_bench_json(args.output, payload)
-        out(f"wrote {args.output}")
-        history = _append_bench_history(pathlib.Path(args.output), runner, stats)
-        if history is not None:
-            out(f"appended {history}")
-    return 0
-
-
-def _bench_partitioned(args, tags: Sequence[str], out) -> int:
-    """``bench --partitions N``: time a partitioned metro campaign.
-
-    The dump gains a ``partition`` block (worker count, sync rounds,
-    boundary-frame count) and the history entry records the same three, so
-    ``tools/bench_diff.py`` can guard the partition-scaling rows like any
-    other family wall time.
+    The dump's ``campaign`` block is the resolved knob mapping plus seed,
+    tests, chaos and engine; a partitioned run adds a ``partition`` block
+    (worker count, sync rounds, boundary frames, CPU split) and records the
+    same in its history entry, so ``tools/bench_diff.py`` can guard the
+    partition-scaling rows like any other family wall time.
     """
     from repro.core import write_bench_json
-    from repro.core.partition import PartitionError
     from repro.core.store import SCHEMA_VERSION
 
-    runner = _partition_runner(args, tags)
-    selected = _cgn_selection(args, _family_selection(args), list(METRO_FAMILIES))
-    try:
-        results = runner.run(tests=selected)
-    except PartitionError as exc:
-        raise SystemExit(str(exc)) from None
+    tags = _resolve_tags(args.tags)
+    runner, selected, results = _run_from_args(args, tags, DEFAULT_BENCH_TESTS)
+    partitioned = args.partitions is not None
     stats = results.stats
-    out(f"devices: {len(tags)}   families: {' '.join(selected)}   "
-        f"partitions: {runner.partitions}")
-    out(f"elapsed: {runner.last_elapsed:.2f}s wall   "
-        f"sync rounds: {runner.last_sync_rounds}   "
-        f"boundary frames: {runner.last_boundary_frames}")
-    if runner.last_island_cpu_seconds:
-        islands = " ".join(f"{s:.2f}" for s in runner.last_island_cpu_seconds)
-        out(f"cpu: hub {runner.last_hub_cpu_seconds:.2f}s   islands [{islands}]s   "
-            f"critical path: {runner.last_critical_path_seconds:.2f}s")
-    out(f"events: {stats.events_processed}   events/sec (cpu): {stats.events_per_sec:.0f}")
+    if partitioned:
+        out(f"devices: {len(tags)}   families: {' '.join(selected)}   "
+            f"partitions: {runner.partitions}")
+        out(f"elapsed: {runner.last_elapsed:.2f}s wall   "
+            f"sync rounds: {runner.last_sync_rounds}   "
+            f"boundary frames: {runner.last_boundary_frames}")
+        if runner.last_island_cpu_seconds:
+            islands = " ".join(f"{s:.2f}" for s in runner.last_island_cpu_seconds)
+            out(f"cpu: hub {runner.last_hub_cpu_seconds:.2f}s   islands [{islands}]s   "
+                f"critical path: {runner.last_critical_path_seconds:.2f}s")
+        out(f"events: {stats.events_processed}   events/sec (cpu): {stats.events_per_sec:.0f}")
+    else:
+        out(f"devices: {len(tags)}   families: {' '.join(selected)}   jobs: {args.jobs}")
+        if runner.impairment is not None or runner.faults:
+            out(f"impairment: {args.impair or 'none'}   faults: {', '.join(args.fault or []) or 'none'}")
+        out(f"elapsed: {runner.last_elapsed:.2f}s wall   {stats.wall_seconds:.2f}s cpu (shard sum)")
+        out(f"events: {stats.events_processed}   events/sec (cpu): {stats.events_per_sec:.0f}")
+        out(f"segments modeled: {stats.segments_modeled}   "
+            f"fastpath saved: {stats.fastpath_events_saved} events "
+            f"in {stats.fastpath_windows} windows")
+        out(f"stale-entry purges: {stats.stale_purges} ({stats.stale_entries_purged} entries)")
     for family in selected:
         wall = stats.family_wall.get(family, 0.0)
         events = stats.family_events.get(family, 0)
-        out(f"  {family:>10}  {wall:8.2f}s  {events:>9} events")
-    if args.output:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "config_hash": runner.fingerprint(),
-            "campaign": {
-                "devices": len(tags),
-                "tests": list(selected),
-                "seed": args.seed,
-                "cgn_subscribers": args.subscribers,
-                "cgn_block_size": args.block_size,
-                "metro_requests": args.metro_requests,
-                "metro_idle": args.metro_idle,
-                "metro_flap": args.metro_flap,
-                "fastpath": not args.no_fastpath,
-            },
-            "partition": {
-                "partitions": runner.partitions,
-                "sync_rounds": runner.last_sync_rounds,
-                "boundary_frames": runner.last_boundary_frames,
-                "island_cpu_seconds": [
-                    round(s, 3) for s in runner.last_island_cpu_seconds
-                ],
-                "hub_cpu_seconds": round(runner.last_hub_cpu_seconds, 3),
-                "critical_path_seconds": round(
-                    runner.last_critical_path_seconds, 3
-                ),
-            },
-            "elapsed_wall_seconds": round(runner.last_elapsed, 3),
-            "shard_errors": [],
-            "stats": stats.as_dict(),
+        segments = "" if partitioned else f"  {stats.family_segments.get(family, 0):>9} segments"
+        out(f"  {family:>10}  {wall:8.2f}s  {events:>9} events{segments}")
+    _report_errors(results, out)
+    if not args.output:
+        return 0
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "config_hash": runner.fingerprint(),
+        "campaign": {
+            "devices": len(tags),
+            "tests": list(selected),
+            "seed": args.seed,
+            **runner.knobs,
+            "impairment": runner.impairment.describe() if runner.impairment is not None else None,
+            "faults": [fault.describe() for fault in runner.faults],
+            "fastpath": not args.no_fastpath,
+        },
+        "elapsed_wall_seconds": round(runner.last_elapsed, 3),
+        "shard_errors": [
+            {"tag": error.tag, "family": error.family, "error": error.error, "message": error.message}
+            for error in results.errors
+        ],
+        "stats": stats.as_dict(),
+    }
+    extra = None
+    if partitioned:
+        payload["partition"] = {
+            "partitions": runner.partitions,
+            "sync_rounds": runner.last_sync_rounds,
+            "boundary_frames": runner.last_boundary_frames,
+            "island_cpu_seconds": [round(s, 3) for s in runner.last_island_cpu_seconds],
+            "hub_cpu_seconds": round(runner.last_hub_cpu_seconds, 3),
+            "critical_path_seconds": round(runner.last_critical_path_seconds, 3),
         }
-        write_bench_json(args.output, payload)
-        out(f"wrote {args.output}")
-        history = _append_bench_history(
-            pathlib.Path(args.output), runner, stats,
-            extra={
-                "partitions": runner.partitions,
-                "sync_rounds": runner.last_sync_rounds,
-                "boundary_frames": runner.last_boundary_frames,
-                "elapsed_wall_seconds": round(runner.last_elapsed, 3),
-                "critical_path_seconds": round(
-                    runner.last_critical_path_seconds, 3
-                ),
-            },
-        )
-        if history is not None:
-            out(f"appended {history}")
+        extra = {
+            key: payload["partition"][key]
+            for key in ("partitions", "sync_rounds", "boundary_frames", "critical_path_seconds")
+        }
+        extra["elapsed_wall_seconds"] = payload["elapsed_wall_seconds"]
+    if results.metrics is not None:
+        payload["metrics"] = results.metrics.as_dict()
+    from repro.workload.families import scaling_curves
+
+    curves = scaling_curves(results)
+    if curves is not None:
+        # The workload tier's deliverable: the decoded scaling curves
+        # ride in the bench dump (BENCH_workload.json) so the loss
+        # curves are diffable without replaying the campaign.
+        payload["curves"] = curves
+    write_bench_json(args.output, payload)
+    out(f"wrote {args.output}")
+    history = _append_bench_history(pathlib.Path(args.output), runner, stats, extra=extra)
+    if history is not None:
+        out(f"appended {history}")
     return 0
 
 
@@ -754,58 +572,21 @@ def cmd_compliance(args, out) -> int:
 
 
 def _add_cgn_flags(parser: argparse.ArgumentParser) -> None:
-    """The NAT444 + adversarial campaign flags shared by survey/report/bench."""
-    parser.add_argument("--cgn", action="store_true",
-                        help="run the NAT444 families (cgn_timeouts, cgn_exhaustion) "
-                        "behind a carrier-grade NAT; appends to --families if given")
-    parser.add_argument("--subscribers", type=int, default=8,
-                        help="home gateways behind each CGN (default: 8)")
-    parser.add_argument("--block-size", type=int, default=16, dest="block_size",
-                        help="external ports per CGN allocation block (default: 16)")
-    parser.add_argument("--attack", action="store_true",
-                        help="run the adversarial NAT-abuse families (attack_portflood, "
-                        "attack_keepalive, attack_rst) through the NAT444 chain; "
-                        "appends to --families if given")
-    parser.add_argument("--attack-rate", type=float, default=50.0, dest="attack_rate",
-                        help="attacker packet rate in pkt/s (default: 50)")
-    parser.add_argument("--attack-duration", type=float, default=20.0, dest="attack_duration",
-                        help="flood duration in seconds (default: 20)")
-    parser.add_argument("--metro", action="store_true",
-                        help="run the metro-scale NAT444 family (metro_load): one "
-                        "CGN segment per device tag behind a shared core; "
-                        "appends to --families if given")
-    parser.add_argument("--metro-requests", type=int, default=8, dest="metro_requests",
-                        help="echo requests per metro subscriber (default: 8)")
-    parser.add_argument("--metro-idle", type=float, default=0.0, dest="metro_idle",
-                        help="idle seconds spliced into the middle of each metro "
-                        "subscriber's schedule (drives NAT bindings through "
-                        "expiry; default: 0)")
-    parser.add_argument("--metro-flap", default="", dest="metro_flap", metavar="SPEC",
-                        help="flap one segment's core link, e.g. tag=al,at=30.1,for=0.2")
-    parser.add_argument("--matrix", action="store_true",
-                        help="run the pairwise NAT-traversal family (traversal_matrix): "
-                        "STUN + hole punch + relay fallback + keepalive ladder for "
-                        "every ordered device pair; appends to --families if given")
-    parser.add_argument("--pairs", default="", dest="matrix_pairs", metavar="A+B,C+D",
-                        help="restrict --matrix to an explicit pair list, e.g. "
-                        "al+be1,dl5+al (default: every ordered pair)")
-    parser.add_argument("--matrix-cgn", action="store_true", dest="matrix_cgn",
-                        help="with --matrix: also run each pair with NAT444 on one "
-                        "side, the other, and both (.cgn-a/.cgn-b/.cgn-ab variants)")
-    parser.add_argument("--workload", action="store_true",
-                        help="run the subscriber-workload families (workload_mix, "
-                        "fwcost_scaling) through the NAT444 chain; appends to "
-                        "--families if given")
-    parser.add_argument("--mix", default="residential", dest="workload_mix",
-                        choices=("residential", "streaming", "p2p-heavy"),
-                        help="application mix driving workload_mix (default: residential)")
-    parser.add_argument("--load-ramp", default="", dest="load_ramp", metavar="N,N,...",
-                        help="active-subscriber counts per workload_mix load point, "
-                        "e.g. 1,2,4,8 (default: powers of two up to --subscribers)")
-    parser.add_argument("--rules", default="", dest="fw_rules", metavar="N,N,...",
-                        help="firewall rule counts (and, in a second curve, conntrack "
-                        "sizes) for fwcost_scaling, e.g. 0,256,1024,4096 "
-                        "(default: 0,256,1024,4096)")
+    """The tier switches and tier-knob flags shared by survey/report/bench.
+
+    Generated from the registry: each :class:`~repro.core.registry.Tier`'s
+    ``--<tier>`` switch, followed by the flags of the knobs listed under it.
+    """
+    for tier in registry.tiers():
+        parser.add_argument(f"--{tier.name}", action="store_true", help=tier.help)
+        for knob in registry.knobs():
+            if knob.tier != tier.name:
+                continue
+            if knob.type is bool:
+                parser.add_argument(knob.flag, action="store_true", dest=knob.dest, help=knob.help)
+            else:
+                parser.add_argument(knob.flag, type=knob.type, default=knob.default, dest=knob.dest,
+                                    metavar=knob.metavar, choices=knob.choices, help=knob.help)
 
 
 def _add_obs_flags(parser: argparse.ArgumentParser) -> None:

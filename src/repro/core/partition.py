@@ -429,15 +429,22 @@ class PartitionRunner:
         self.last_hub_cpu_seconds: float = 0.0
         self.last_critical_path_seconds: float = 0.0
 
+    #: Partitioned campaigns run chaos-free (``__init__`` rejects chaos).
+    impairment = None
+    faults = ()
+
+    @property
+    def knobs(self) -> Dict[str, Any]:
+        """The resolved campaign knobs (the internal survey runner's)."""
+        return self._survey.knobs
+
     def fingerprint(self) -> str:
         """The campaign fingerprint (identical to the survey's)."""
         return self._survey.fingerprint()
 
     def _validate(self, tests: Optional[Sequence[str]]) -> List[registry.ExperimentFamily]:
         """Resolve the selection to partitionable families (or raise)."""
-        names = tests if tests is not None else [
-            f.name for f in registry.families() if f.partitionable and f.runnable
-        ]
+        names = tests if tests is not None else registry.partitionable_names()
         families = []
         for name in names:
             family = registry.get(name)
@@ -450,9 +457,7 @@ class PartitionRunner:
                 raise PartitionError(
                     f"family {name!r} is not partitionable; run it through the "
                     "survey engine instead (drop --partitions or pick from: "
-                    + ", ".join(
-                        f.name for f in registry.families() if f.partitionable
-                    )
+                    + ", ".join(registry.partitionable_names())
                 )
             families.append(family)
         if not families:
@@ -463,11 +468,11 @@ class PartitionRunner:
         """The ``--partitions 1`` reference engine: one simulation, inline."""
         survey = self._survey
         cpu_start = time.process_time()
-        hooks = family.partition_factory(survey._knobs())
+        hooks = family.partition_factory(survey.knobs)
         bed = hooks.build_full(profiles, self.seed, fastpath=survey.fastpath)
         if survey.family_timeout is not None:
             bed.sim.watchdog_limit = bed.sim.now + survey.family_timeout
-        mapping = family.probe_factory(survey._knobs())(bed)
+        mapping = family.probe_factory(survey.knobs)(bed)
         stats = SimStats()
         stats.events_processed = bed.sim.events_processed
         stats.fastpath_events_saved = bed.sim.fastpath_events_saved
@@ -546,7 +551,7 @@ class PartitionRunner:
                 else:
                     hub = _Hub(
                         family,
-                        survey._knobs(),
+                        survey.knobs,
                         numbered,
                         self.seed,
                         self.partitions,

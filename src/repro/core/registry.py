@@ -25,6 +25,15 @@ Derived families — UDP-4 is an *analysis* of UDP-1's observed ports, not a
 measurement of its own — carry ``derived_from``/``derive`` instead of a
 probe factory; the survey engine and the store recompute them from the
 parent family's cells.
+
+Campaign knobs live here too.  **Adding a knob** is one
+:func:`register_knob` call in the module whose families read it: the
+:class:`Knob` declaration (name, type, default, help, optional CLI flag,
+selection-vs-measurement) is all there is.  ``SurveyRunner(**knobs)``
+validates and coerces against it (:func:`knob_values`), the shard config,
+campaign fingerprint, store manifest and ``bench`` dump carry the resolved
+mapping, and the CLI generates the flag under its :class:`Tier`'s
+``--<tier>`` switch — no edit to the runner, the CLI or the fingerprint.
 """
 
 from __future__ import annotations
@@ -40,8 +49,12 @@ __all__ = [
     "Subject",
     "ExperimentFamily",
     "ReportSection",
+    "Knob",
+    "Tier",
     "register_family",
     "register_section",
+    "register_knob",
+    "register_tier",
     "ensure_loaded",
     "families",
     "family",
@@ -51,6 +64,10 @@ __all__ = [
     "family_names",
     "derived_families",
     "report_sections",
+    "knobs",
+    "knob_values",
+    "tiers",
+    "partitionable_names",
 ]
 
 #: Modules that register experiment families as an import side effect.
@@ -263,8 +280,71 @@ class ReportSection:
         return all(present) if self.requires_all else any(present)
 
 
+@dataclass(frozen=True)
+class Knob:
+    """One campaign knob, declared once by the module whose families read it.
+
+    Families receive the resolved mapping (every declared knob, coerced to
+    its type) and read ``knobs[name]``; nothing else restates the default.
+    """
+
+    name: str
+    #: Declared type; values are coerced through it (``600`` -> ``600.0``
+    #: for a float knob), so one campaign has one fingerprint however a
+    #: number was spelled.
+    type: type
+    default: Any
+    #: CLI help text, verbatim (default description included).
+    help: str
+    #: Long option generated on ``survey``/``report``/``bench`` under the
+    #: knob's ``tier`` switch; ``None`` = no generated flag.
+    flag: Optional[str] = None
+    #: argparse attribute the CLI parses the knob into (default: ``name``);
+    #: also how a command's own flag (``--repetitions``) reaches the knob.
+    dest: Optional[str] = None
+    metavar: Optional[str] = None
+    choices: Optional[Tuple[str, ...]] = None
+    #: The :class:`Tier` whose ``--<tier>`` switch the flag is listed under.
+    tier: Optional[str] = None
+    #: Selects *which subjects run* rather than how anything is measured:
+    #: kept out of the campaign fingerprint, so a subject slice and the full
+    #: campaign share one store (exactly like a ``--families`` subset does).
+    selection: bool = False
+
+    def __post_init__(self) -> None:
+        if self.flag is not None and self.tier is None:
+            raise ValueError(f"knob {self.name!r} has a CLI flag but no tier to list it under")
+        object.__setattr__(self, "default", self.coerce(self.default))
+        if self.dest is None:
+            object.__setattr__(self, "dest", self.name)
+
+    def coerce(self, value: Any) -> Any:
+        """``value`` as the declared type (integral floats only, for ints)."""
+        if self.type is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"knob {self.name!r} takes an integer, got {value!r}")
+        return self.type(value)
+
+
+@dataclass(frozen=True)
+class Tier:
+    """An opt-in campaign tier: one ``--<name>`` CLI switch selecting its families.
+
+    With an explicit family selection the switch appends its families;
+    alone, it means "that campaign".  Knobs name the tier whose switch
+    their generated flag is listed under.
+    """
+
+    name: str
+    #: CLI listing position (ascending).
+    order: int
+    families: Tuple[str, ...]
+    help: str
+
+
 _FAMILIES: Dict[str, ExperimentFamily] = {}
 _SECTIONS: Dict[str, ReportSection] = {}
+_KNOBS: Dict[str, Knob] = {}
+_TIERS: Dict[str, Tier] = {}
 _LOADED = False
 
 
@@ -284,6 +364,22 @@ def register_section(section: ReportSection) -> ReportSection:
         raise ValueError(f"report section {section.key!r} already registered")
     _SECTIONS[section.key] = section
     return section
+
+
+def register_knob(knob: Knob) -> Knob:
+    """Declare one campaign knob (import-time side effect)."""
+    if knob.name in _KNOBS:
+        raise ValueError(f"campaign knob {knob.name!r} already registered")
+    _KNOBS[knob.name] = knob
+    return knob
+
+
+def register_tier(tier: Tier) -> Tier:
+    """Declare one opt-in campaign tier (import-time side effect)."""
+    if tier.name in _TIERS:
+        raise ValueError(f"campaign tier {tier.name!r} already registered")
+    _TIERS[tier.name] = tier
+    return tier
 
 
 def ensure_loaded() -> None:
@@ -344,3 +440,30 @@ def report_sections() -> List[ReportSection]:
     """All registered report sections, in report order."""
     ensure_loaded()
     return sorted(_SECTIONS.values(), key=lambda s: (s.order, s.key))
+
+
+def partitionable_names() -> Tuple[str, ...]:
+    """Runnable families that supply partition hooks, in execution order."""
+    return tuple(f.name for f in families() if f.runnable and f.partitionable)
+
+
+def knobs() -> List[Knob]:
+    """Every declared campaign knob, in declaration order."""
+    ensure_loaded()
+    return list(_KNOBS.values())
+
+
+def knob_values(overrides: Optional[Mapping[str, Any]] = None) -> Dict[str, Any]:
+    """The complete knob mapping: declared defaults, then coerced ``overrides``."""
+    overrides = overrides or {}
+    declared = knobs()
+    unknown = sorted(set(overrides) - {k.name for k in declared})
+    if unknown:
+        raise TypeError(f"unknown campaign knob(s) {unknown}; declared knobs: {', '.join(_KNOBS)}")
+    return {k.name: k.coerce(overrides[k.name]) if k.name in overrides else k.default for k in declared}
+
+
+def tiers() -> List[Tier]:
+    """Every opt-in campaign tier, in CLI order."""
+    ensure_loaded()
+    return sorted(_TIERS.values(), key=lambda t: (t.order, t.name))

@@ -152,7 +152,8 @@ class SurveyRunner:
 
     One instance describes a whole measurement campaign: the device
     population, the campaign seed, per-family knobs (repetitions, cutoffs,
-    transfer sizes), the chaos configuration (``impairment``/``faults``),
+    transfer sizes — any knob a family module declares, see
+    :func:`~repro.core.registry.register_knob`), the chaos configuration (``impairment``/``faults``),
     the execution schedule (``jobs``), the durable result store
     (``store_dir``/``resume`` — see :mod:`repro.core.store`), and what the
     flight recorder should capture (``trace_dir``/``pcap_dir``/``metrics``
@@ -181,22 +182,6 @@ class SurveyRunner:
         self,
         profiles: Optional[Sequence[DeviceProfile]] = None,
         seed: int = 0,
-        udp_repetitions: int = 3,
-        udp5_repetitions: int = 1,
-        tcp1_cutoff: float = 24 * 3600.0,
-        transfer_bytes: int = 2 * 1024 * 1024,
-        cgn_subscribers: int = 8,
-        cgn_block_size: int = 16,
-        attack_rate: float = 50.0,
-        attack_duration: float = 20.0,
-        metro_requests: int = 8,
-        metro_idle: float = 0.0,
-        metro_flap: str = "",
-        matrix_pairs: str = "",
-        matrix_cgn: bool = False,
-        workload_mix: str = "residential",
-        workload_ramp: str = "",
-        fw_rules: str = "",
         jobs: int = 1,
         fastpath: bool = True,
         impairment: Optional[Impairment] = None,
@@ -209,46 +194,19 @@ class SurveyRunner:
         store_dir: Optional[str] = None,
         resume: bool = False,
         store_key: Optional[str] = None,
+        **knobs: Any,
     ):
         self.profiles = list(profiles if profiles is not None else catalog_profiles())
         tags = [profile.tag for profile in self.profiles]
         if len(set(tags)) != len(tags):
             raise ValueError(f"duplicate device tags in survey population: {tags}")
         self.seed = seed
-        self.udp_repetitions = udp_repetitions
-        self.udp5_repetitions = udp5_repetitions
-        self.tcp1_cutoff = tcp1_cutoff
-        self.transfer_bytes = transfer_bytes
-        #: NAT444 population knobs (the ``cgn_*`` families): homes behind
-        #: each carrier-grade NAT, and external ports per allocated block.
-        self.cgn_subscribers = cgn_subscribers
-        self.cgn_block_size = cgn_block_size
-        #: Adversarial-tier knobs (the ``attack_*`` families): attacker
-        #: packet rate [pkt/s] and flood duration [s].
-        self.attack_rate = float(attack_rate)
-        self.attack_duration = float(attack_duration)
-        #: Metro-tier knobs (the partitionable ``metro_load`` family):
-        #: echo requests per subscriber, mid-schedule idle gap [s] (drives
-        #: NAT bindings through expiry), and a core-link flap spec
-        #: (``"tag=al,at=35,for=0.5"``; empty = no flap).
-        self.metro_requests = int(metro_requests)
-        self.metro_idle = float(metro_idle)
-        self.metro_flap = str(metro_flap)
-        #: Traversal-matrix *selection* knobs: an explicit pair list
-        #: (``"al+be1,dl5+al"``; empty = every ordered pair) and whether to
-        #: add the NAT444-sided variants.  These select which subjects run —
-        #: like a family selection, not a measurement parameter — so they
-        #: stay outside the campaign fingerprint (a sliced matrix campaign
-        #: resumes into, and stays comparable with, the full one).
-        self.matrix_pairs = str(matrix_pairs)
-        self.matrix_cgn = bool(matrix_cgn)
-        #: Workload-tier knobs (the ``workload_mix``/``fwcost_scaling``
-        #: families): the application mix name, the active-subscriber ramp
-        #: (``"1,2,4,8"``; empty = powers of two up to ``cgn_subscribers``)
-        #: and the firewall rule/conntrack ramp (empty = the family default).
-        self.workload_mix = str(workload_mix)
-        self.workload_ramp = str(workload_ramp)
-        self.fw_rules = str(fw_rules)
+        #: The per-family measurement knobs (repetitions, cutoffs, CGN
+        #: sizes …), validated and coerced against their
+        #: :class:`~repro.core.registry.Knob` declarations, defaults filled
+        #: in.  Families, shard config, fingerprint and store manifest all
+        #: read this one mapping.
+        self.knobs: Dict[str, Any] = registry.knob_values(knobs)
         self.jobs = max(1, int(jobs))
         #: Run the eager event-elision kernels (``--no-fastpath`` clears it).
         #: Results are engine-independent by construction, so this knob is
@@ -283,37 +241,14 @@ class SurveyRunner:
         #: Cells skipped by the last resumed :meth:`run`.
         self.last_skipped_cells: int = 0
 
-    def _knobs(self) -> Dict[str, Any]:
-        """The per-family measurement knobs, as the registry factories see them."""
-        return {
-            "udp_repetitions": self.udp_repetitions,
-            "udp5_repetitions": self.udp5_repetitions,
-            "tcp1_cutoff": self.tcp1_cutoff,
-            "transfer_bytes": self.transfer_bytes,
-            "cgn_subscribers": self.cgn_subscribers,
-            "cgn_block_size": self.cgn_block_size,
-            "attack_rate": self.attack_rate,
-            "attack_duration": self.attack_duration,
-            "metro_requests": self.metro_requests,
-            "metro_idle": self.metro_idle,
-            "metro_flap": self.metro_flap,
-            "matrix_pairs": self.matrix_pairs,
-            "matrix_cgn": self.matrix_cgn,
-            "workload_mix": self.workload_mix,
-            "workload_ramp": self.workload_ramp,
-            "fw_rules": self.fw_rules,
-        }
-
-    #: Knobs that select *which subjects run* rather than how anything is
-    #: measured: excluded from the fingerprint so a pair subset and the full
-    #: matrix share one store (exactly like a ``--families`` subset does).
-    SELECTION_KNOBS = ("matrix_pairs", "matrix_cgn")
-
     def fingerprint(self) -> str:
-        """Content hash of everything that determines this campaign's cells."""
-        knobs = dict(self._knobs(), family_timeout=self.family_timeout)
-        for name in self.SELECTION_KNOBS:
-            knobs.pop(name, None)
+        """Content hash of everything that determines this campaign's cells.
+
+        Selection knobs (which subjects run, not how) stay out, so a subject
+        slice resumes into, and stays comparable with, the full campaign.
+        """
+        knobs = {k.name: self.knobs[k.name] for k in registry.knobs() if not k.selection}
+        knobs["family_timeout"] = self.family_timeout
         return campaign_fingerprint(
             self.profiles, self.seed, knobs, impairment=self.impairment, faults=self.faults
         )
@@ -335,7 +270,7 @@ class SurveyRunner:
             # engines are byte-identical and bring-up settles before chaos).
             # Non-device families use the subject overload: one bed per
             # enumerated subject, built from (subject, seed).
-            build = family.testbed_factory(self._knobs())
+            build = family.testbed_factory(self.knobs)
             if subject is not None and subject.kind != "device":
                 bed = build(subject, seed)
             else:
@@ -359,33 +294,18 @@ class SurveyRunner:
         return bed
 
     def _shard_config(self) -> Dict:
-        return {
-            "udp_repetitions": self.udp_repetitions,
-            "udp5_repetitions": self.udp5_repetitions,
-            "tcp1_cutoff": self.tcp1_cutoff,
-            "transfer_bytes": self.transfer_bytes,
-            "cgn_subscribers": self.cgn_subscribers,
-            "cgn_block_size": self.cgn_block_size,
-            "attack_rate": self.attack_rate,
-            "attack_duration": self.attack_duration,
-            "metro_requests": self.metro_requests,
-            "metro_idle": self.metro_idle,
-            "metro_flap": self.metro_flap,
-            "matrix_pairs": self.matrix_pairs,
-            "matrix_cgn": self.matrix_cgn,
-            "workload_mix": self.workload_mix,
-            "workload_ramp": self.workload_ramp,
-            "fw_rules": self.fw_rules,
-            "fastpath": self.fastpath,
-            "impairment": self.impairment,
-            "faults": self.faults,
-            "family_timeout": self.family_timeout,
-            "trace_dir": self.obs.trace_dir,
-            "pcap_dir": self.obs.pcap_dir,
-            "metrics": self.obs.metrics,
-            "store_dir": self.store_dir,
-            "store_key": self.store_key or (self.fingerprint() if self.store_dir else None),
-        }
+        return dict(
+            self.knobs,
+            fastpath=self.fastpath,
+            impairment=self.impairment,
+            faults=self.faults,
+            family_timeout=self.family_timeout,
+            trace_dir=self.obs.trace_dir,
+            pcap_dir=self.obs.pcap_dir,
+            metrics=self.obs.metrics,
+            store_dir=self.store_dir,
+            store_key=self.store_key or (self.fingerprint() if self.store_dir else None),
+        )
 
     def _validate(self, tests: Optional[Sequence[str]]) -> List[str]:
         """Resolve the family selection, failing with the registered menu."""
@@ -414,7 +334,7 @@ class SurveyRunner:
             else [profile.tag for profile in self.profiles],
             "seed": self.seed,
             "families": list(selected),
-            "knobs": self._knobs(),
+            "knobs": self.knobs,
             "impairment": self.impairment.describe() if self.impairment is not None else None,
             "faults": [fault.describe() for fault in self.faults],
         }
@@ -440,9 +360,8 @@ class SurveyRunner:
         if device_families:
             for profile in self.profiles:
                 plan.append((Subject.device(profile), list(device_families)))
-        knobs = self._knobs()
         for descriptor in other_families:
-            for subject in descriptor.subjects_of(self.profiles, knobs):
+            for subject in descriptor.subjects_of(self.profiles, self.knobs):
                 plan.append((subject, [descriptor.name]))
         return plan
 
@@ -625,7 +544,7 @@ class SurveyRunner:
             if family.subject_kind == "device":
                 if subject is not None and subject.kind != "device":
                     return None
-                return timed(family, family.probe_factory(self._knobs()))
+                return timed(family, family.probe_factory(self.knobs))
             # Non-device family: one fresh testbed per enumerated subject.
             if subject is not None:
                 if subject.kind != family.subject_kind:
@@ -638,9 +557,9 @@ class SurveyRunner:
                 # campaign scheduler would, so results match the sharded run.
                 enumerated = [
                     (sub, shard_seed(self.seed, sub.tag))
-                    for sub in family.subjects_of(self.profiles, self._knobs())
+                    for sub in family.subjects_of(self.profiles, self.knobs)
                 ]
-            probe = family.probe_factory(self._knobs())
+            probe = family.probe_factory(self.knobs)
             mapping: Dict[str, Any] = {}
             for sub, bed_seed in enumerated:
                 family.merge_into(

@@ -319,12 +319,19 @@ def _render_tcp4(results) -> Optional[str]:
     ])
 
 
+registry.register_knob(registry.Knob(
+    name="tcp1_cutoff",
+    type=float,
+    default=DEFAULT_TCP_CUTOFF,
+    help="TCP-1 idle cutoff in seconds; longer timeouts are censored",
+))
+
 registry.register_family(registry.ExperimentFamily(
     name="tcp1",
     order=50,
     result_type=TcpTimeoutResult,
     description="TCP-1 idle binding timeout (Figure 7)",
-    probe_factory=lambda knobs: TcpTimeoutProbe(cutoff=knobs.get("tcp1_cutoff", DEFAULT_TCP_CUTOFF)).run_all,
+    probe_factory=lambda knobs: TcpTimeoutProbe(cutoff=knobs["tcp1_cutoff"]).run_all,
     encode_cell=encode_tcp_timeout_result,
     decode_cell=decode_tcp_timeout_result,
 ))

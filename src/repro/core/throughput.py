@@ -294,14 +294,19 @@ def _render_tcp2(results) -> Optional[str]:
     ])
 
 
+registry.register_knob(registry.Knob(
+    name="transfer_bytes",
+    type=int,
+    default=DEFAULT_TRANSFER_BYTES,
+    help="bytes moved per TCP-2 bulk transfer",
+))
+
 registry.register_family(registry.ExperimentFamily(
     name="tcp2",
     order=60,
     result_type=ThroughputResult,
     description="TCP-2/TCP-3 throughput and queuing delay (Figures 8-9)",
-    probe_factory=lambda knobs: ThroughputProbe(
-        transfer_bytes=knobs.get("transfer_bytes", DEFAULT_TRANSFER_BYTES)
-    ).run_all,
+    probe_factory=lambda knobs: ThroughputProbe(transfer_bytes=knobs["transfer_bytes"]).run_all,
     encode_cell=encode_throughput_result,
     decode_cell=decode_throughput_result,
 ))

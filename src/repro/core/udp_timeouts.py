@@ -532,11 +532,26 @@ def _render_udp5(results) -> Optional[str]:
     ])
 
 
+registry.register_knob(registry.Knob(
+    name="udp_repetitions",
+    type=int,
+    default=3,
+    dest="repetitions",
+    help="timeout measurements per device for UDP-1/2/3",
+))
+registry.register_knob(registry.Knob(
+    name="udp5_repetitions",
+    type=int,
+    default=1,
+    help="timeout measurements per device and service for UDP-5",
+))
+
+
 def _udp_probe_factory(variant: str):
     def factory(knobs):
         """Build the probe entry point bound to one UDP variant."""
         maker = getattr(UdpTimeoutProbe, variant)
-        return maker(repetitions=knobs.get("udp_repetitions", 3)).run_all
+        return maker(repetitions=knobs["udp_repetitions"]).run_all
 
     return factory
 
@@ -568,7 +583,7 @@ registry.register_family(registry.ExperimentFamily(
     order=40,
     result_type=UdpTimeoutResult,
     description="UDP-5 per-service binding timeouts (Figure 6)",
-    probe_factory=lambda knobs: UdpServiceProbe(repetitions=knobs.get("udp5_repetitions", 1)).run_all,
+    probe_factory=lambda knobs: UdpServiceProbe(repetitions=knobs["udp5_repetitions"]).run_all,
     encode_cell=lambda cell: {service: encode_udp_timeout_result(r) for service, r in cell.items()},
     decode_cell=lambda payload: {service: decode_udp_timeout_result(r) for service, r in payload.items()},
     cells=_udp5_cells,

@@ -108,6 +108,37 @@ def pair_subject(
     )
 
 
+registry.register_tier(registry.Tier(
+    name="matrix",
+    order=40,
+    families=("traversal_matrix",),
+    help="run the pairwise NAT-traversal family (traversal_matrix): STUN + hole punch + "
+    "relay fallback + keepalive ladder for every ordered device pair; appends to "
+    "--families if given",
+))
+registry.register_knob(registry.Knob(
+    name="matrix_pairs",
+    type=str,
+    default="",
+    help="restrict --matrix to an explicit pair list, e.g. al+be1,dl5+al "
+    "(default: every ordered pair)",
+    flag="--pairs",
+    metavar="A+B,C+D",
+    tier="matrix",
+    selection=True,
+))
+registry.register_knob(registry.Knob(
+    name="matrix_cgn",
+    type=bool,
+    default=False,
+    help="with --matrix: also run each pair with NAT444 on one side, the other, "
+    "and both (.cgn-a/.cgn-b/.cgn-ab variants)",
+    flag="--matrix-cgn",
+    tier="matrix",
+    selection=True,
+))
+
+
 def matrix_subjects(
     profiles: Sequence[DeviceProfile], knobs: Mapping
 ) -> List[Subject]:
@@ -118,10 +149,12 @@ def matrix_subjects(
     shard order, store meta and resume bookkeeping) is deterministic.  An
     explicit pair list (``"al+be1,dl5+al"``) selects a slice; explicit
     self-pairs (``"al+al"``) are allowed there.  ``matrix_cgn`` multiplies
-    each pair by the three NAT444-sided variants.
+    each pair by the three NAT444-sided variants.  ``knobs`` may be
+    partial; the rest take their declared defaults.
     """
+    knobs = registry.knob_values(knobs)
     by_tag = {profile.tag: profile for profile in profiles}
-    spec = str(knobs.get("matrix_pairs", "") or "").strip()
+    spec = knobs["matrix_pairs"].strip()
     pairs: List[Tuple[DeviceProfile, DeviceProfile]] = []
     if spec:
         for token in spec.split(","):
@@ -149,7 +182,7 @@ def matrix_subjects(
             if profile_a.tag != profile_b.tag
         ]
     variants: Tuple[Tuple[bool, bool], ...] = ((False, False),)
-    if bool(knobs.get("matrix_cgn", False)):
+    if knobs["matrix_cgn"]:
         variants = ((False, False), (True, False), (False, True), (True, True))
     return [
         pair_subject(profile_a, profile_b, cgn_a, cgn_b)

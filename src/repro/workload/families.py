@@ -39,7 +39,7 @@ from repro.workload.generator import (
     WorkloadServer,
     echo_request,
 )
-from repro.workload.mixes import mix_for
+from repro.workload.mixes import MIXES, mix_for
 
 __all__ = [
     "LoadPoint",
@@ -563,14 +563,52 @@ def _render_workload(results) -> Optional[str]:
     return "\n\n".join(parts)
 
 
+registry.register_tier(registry.Tier(
+    name="workload",
+    order=50,
+    families=("workload_mix", "fwcost_scaling"),
+    help="run the subscriber-workload families (workload_mix, fwcost_scaling) "
+    "through the NAT444 chain; appends to --families if given",
+))
+registry.register_knob(registry.Knob(
+    name="workload_mix",
+    type=str,
+    default="residential",
+    help="application mix driving workload_mix (default: residential)",
+    flag="--mix",
+    choices=tuple(MIXES),
+    tier="workload",
+))
+registry.register_knob(registry.Knob(
+    name="workload_ramp",
+    type=str,
+    default="",
+    help="active-subscriber counts per workload_mix load point, e.g. 1,2,4,8 "
+    "(default: powers of two up to --subscribers)",
+    flag="--load-ramp",
+    dest="load_ramp",
+    metavar="N,N,...",
+    tier="workload",
+))
+registry.register_knob(registry.Knob(
+    name="fw_rules",
+    type=str,
+    default="",
+    help="firewall rule counts (and, in a second curve, conntrack sizes) for "
+    "fwcost_scaling, e.g. 0,256,1024,4096 (default: 0,256,1024,4096)",
+    flag="--rules",
+    metavar="N,N,...",
+    tier="workload",
+))
+
 registry.register_family(registry.ExperimentFamily(
     name="workload_mix",
     order=230,
     result_type=WorkloadMixResult,
     description="subscriber application-mix load ramp (goodput, FCT, NAT occupancy, block pressure)",
     probe_factory=lambda knobs: WorkloadMixProbe(
-        mix_name=str(knobs.get("workload_mix", "residential")),
-        ramp_spec=str(knobs.get("workload_ramp", "")),
+        mix_name=knobs["workload_mix"],
+        ramp_spec=knobs["workload_ramp"],
     ).run_all,
     encode_cell=encode_workload_result,
     decode_cell=decode_workload_result,
@@ -584,7 +622,7 @@ registry.register_family(registry.ExperimentFamily(
     result_type=FwCostResult,
     description="forwarding throughput and per-packet cost vs. rule count / conntrack size",
     probe_factory=lambda knobs: FwCostProbe(
-        ramp_spec=str(knobs.get("fw_rules", "")),
+        ramp_spec=knobs["fw_rules"],
     ).run_all,
     encode_cell=encode_fwcost_result,
     decode_cell=decode_fwcost_result,
