@@ -1,28 +1,30 @@
 #!/usr/bin/env python3
 """Capture a gateway's WAN traffic to a real pcap file.
 
-Attaches a packet trace to a gateway's WAN port, exercises it (DHCP has
-already run; we add UDP, TCP, ICMP and an SCTP attempt), and writes a
-Wireshark-compatible ``gateway.pcap`` — demonstrating that the simulator's
-wire formats are the real thing.
+Attaches a packet trace to a gateway's WAN port and a pcap sink to the same
+trace bus, exercises the gateway (DHCP has already run; we add UDP, TCP,
+ICMP and an SCTP attempt), and writes one Wireshark-compatible capture per
+testbed wire into the output directory — demonstrating that the simulator's
+wire formats are the real thing.  The WAN capture is ``bu1.wan.pcap``.
 
-Run:  python examples/packet_capture.py [output.pcap]
+Run:  python examples/packet_capture.py [output_dir]
 """
 
+import pathlib
 import sys
 from collections import Counter
 
 from repro.devices import profile_for
-from repro.netsim import PacketTrace
-from repro.netsim.pcap import save_trace
+from repro.obs import PacketTrace, PcapSink
 from repro.testbed import Testbed
 
 
 def main() -> None:
-    output = sys.argv[1] if len(sys.argv) > 1 else "gateway.pcap"
+    output = pathlib.Path(sys.argv[1] if len(sys.argv) > 1 else "capture")
     bed = Testbed.build([profile_for("bu1")])
     port = bed.port("bu1")
     trace = PacketTrace.on(port.gateway.wan_iface)
+    pcap = bed.sim.bus.subscribe(PcapSink(output))
 
     # Generate a little of everything through the NAT.
     sink = bed.server.udp.bind(7000)
@@ -40,17 +42,18 @@ def main() -> None:
 
     bed.sim.run(until=bed.sim.now + 10)
     trace.detach()
+    pcap.close()
 
-    count = save_trace(trace, output)
+    wan_path = output / "bu1.wan.pcap"
     protocols = Counter(
         entry.frame.payload.protocol for entry in trace.entries
     )
-    print(f"wrote {count} frames to {output}")
+    print(f"wrote {len(trace)} frames to {wan_path}")
     print("protocol mix:", {
         {1: "icmp", 6: "tcp", 17: "udp", 132: "sctp"}.get(proto, proto): n
         for proto, n in sorted(protocols.items())
     })
-    print("open it with:  wireshark", output)
+    print("open it with:  wireshark", wan_path)
 
 
 if __name__ == "__main__":

@@ -435,13 +435,13 @@ def cmd_bench(args, out) -> int:
             islands = " ".join(f"{s:.2f}" for s in runner.last_island_cpu_seconds)
             out(f"cpu: hub {runner.last_hub_cpu_seconds:.2f}s   islands [{islands}]s   "
                 f"critical path: {runner.last_critical_path_seconds:.2f}s")
-        out(f"events: {stats.events_processed}   events/sec (cpu): {stats.events_per_sec:.0f}")
+        out(f"events: {stats.events_processed}   events/sec (wall): {stats.events_per_sec:.0f}")
     else:
         out(f"devices: {len(tags)}   families: {' '.join(selected)}   jobs: {args.jobs}")
         if runner.impairment is not None or runner.faults:
             out(f"impairment: {args.impair or 'none'}   faults: {', '.join(args.fault or []) or 'none'}")
-        out(f"elapsed: {runner.last_elapsed:.2f}s wall   {stats.wall_seconds:.2f}s cpu (shard sum)")
-        out(f"events: {stats.events_processed}   events/sec (cpu): {stats.events_per_sec:.0f}")
+        out(f"elapsed: {runner.last_elapsed:.2f}s wall   {stats.wall_seconds:.2f}s shard wall sum")
+        out(f"events: {stats.events_processed}   events/sec (shard wall): {stats.events_per_sec:.0f}")
         out(f"segments modeled: {stats.segments_modeled}   "
             f"fastpath saved: {stats.fastpath_events_saved} events "
             f"in {stats.fastpath_windows} windows")

@@ -48,7 +48,7 @@ class SimStats:
 
     @property
     def events_per_sec(self) -> float:
-        """Simulated events per wall-clock second (0 when nothing ran)."""
+        """Simulated events per second of :attr:`wall_seconds` — summed wall, not elapsed (0 when nothing ran)."""
         if self.wall_seconds <= 0:
             return 0.0
         return self.events_processed / self.wall_seconds
@@ -72,9 +72,9 @@ class SimStats:
     def merge(self, other: "SimStats") -> None:
         """Fold a shard's counters into this aggregate.
 
-        Wall-clock is summed: under parallel execution the aggregate is CPU
-        seconds across workers, not elapsed time (the runner records elapsed
-        time separately in the bench dump).
+        Wall-clock is summed: under parallel execution the aggregate is the
+        shards' wall seconds added up — neither CPU time nor elapsed time
+        (the runner records elapsed time separately in the bench dump).
         """
         self.events_processed += other.events_processed
         self.fastpath_events_saved += other.fastpath_events_saved

@@ -168,7 +168,6 @@ class LinkEndpoint:
                 bus.emit("link.drop", link=link.label, cause="severed")
             return
         link.frames_carried += 1
-        # NOT inlined: PacketTrace instruments Interface.deliver per instance.
         self.peer.iface.deliver(frame)
 
     def _drain_after_eager(self) -> None:
@@ -226,7 +225,7 @@ class LinkEndpoint:
                 bus.emit("link.drop", link=link.label, cause="severed")
         elif link.impairer is None:
             if bus is not None:
-                bus.emit("link.tx", link=link.label, size=frame_wire_size(frame), _frame=frame)
+                bus.emit("link.tx", link=link.label, size=frame_wire_size(frame), _frame=frame, _iface=self.iface)
             link.sim.schedule(link.delay, peer.iface.deliver, frame)
             link.frames_carried += 1
         else:
@@ -234,7 +233,7 @@ class LinkEndpoint:
             # to it in flight (loss/corruption/duplication) is the impairer's
             # own story, published from plan_delivery.
             if bus is not None:
-                bus.emit("link.tx", link=link.label, size=frame_wire_size(frame), _frame=frame)
+                bus.emit("link.tx", link=link.label, size=frame_wire_size(frame), _frame=frame, _iface=self.iface)
             for extra in link.impairer.plan_delivery():
                 link.sim.schedule(link.delay + extra, peer.iface.deliver, frame)
                 link.frames_carried += 1

@@ -12,6 +12,8 @@ turn the stream into durable, shareable artifacts:
   sharded survey extends to its traces);
 * :class:`~repro.obs.sinks.PcapSink` — per-link Ethernet captures in classic
   libpcap format, readable in Wireshark/tcpdump;
+* :class:`~repro.obs.sinks.PacketTrace` — an in-memory capture of one
+  interface's frames, for tests and examples that inspect what a NAT emitted;
 * :class:`~repro.obs.metrics.MetricsRegistry` — counters, gauges and
   histograms plus virtual-time spans per measurement family, mergeable
   across survey shards and dumped into ``BENCH_*.json``.
@@ -65,13 +67,15 @@ from repro.obs.bus import (
 )
 from repro.obs.metrics import Histogram, MetricsRegistry, MetricsSink
 from repro.obs.session import ObsConfig, ShardObserver
-from repro.obs.sinks import JsonlTraceSink, PcapSink
+from repro.obs.sinks import JsonlTraceSink, PacketTrace, PcapSink, TraceEntry
 from repro.obs.summary import render_summary, summarize_paths, summarize_trace
 
 __all__ = [
     "TraceBus",
     "JsonlTraceSink",
     "PcapSink",
+    "PacketTrace",
+    "TraceEntry",
     "Histogram",
     "MetricsRegistry",
     "MetricsSink",

@@ -34,7 +34,8 @@ kind           meaning / notable fields
                ``table_full`` | ``rate_limited``)
 ``nat.flush``  session table wiped by a crash (``dev``, ``count``)
 ``link.tx``    frame finished serializing onto a wire (``link``, ``size``,
-               ``_frame`` — the live frame object, for the pcap sink)
+               ``_frame`` — the live frame object, for the pcap sink;
+               ``_iface`` — the sending interface, for ``PacketTrace``)
 ``link.drop``  frame lost at/on a link (``link``, ``cause``: ``tail_drop`` |
                ``severed`` | ``flush`` | ``loss`` | ``corrupt``)
 ``link.dup``   impairment delivered a frame twice (``link``)
@@ -52,10 +53,11 @@ kind           meaning / notable fields
                ``sub``, ``app``, ``flow``, ``fct`` — completion time [s])
 =============  ==============================================================
 
-Field values are JSON-friendly scalars; the one exception is the
-underscore-prefixed ``_frame`` on ``link.tx``, which carries the in-flight
-frame object for sinks that serialize real wire bytes (pcap).  Text sinks
-skip underscore-prefixed fields.
+Field values are JSON-friendly scalars; the exceptions are the
+underscore-prefixed ``_frame`` and ``_iface`` on ``link.tx``, which carry the
+in-flight frame object and its sender for sinks that serialize real wire
+bytes (pcap) or capture per interface.  Text sinks skip underscore-prefixed
+fields.
 """
 
 from __future__ import annotations
@@ -133,6 +135,11 @@ class TraceBus:
         """Register a sink (``handle(t, kind, fields)``); returns it."""
         self._sinks.append(sink)
         return sink
+
+    def unsubscribe(self, sink: Any) -> int:
+        """Remove a sink registered with :meth:`subscribe`; returns how many remain."""
+        self._sinks.remove(sink)
+        return len(self._sinks)
 
     def emit(self, kind: str, **fields: Any) -> None:
         """Publish one event, stamped with the current virtual time.

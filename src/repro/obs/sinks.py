@@ -1,6 +1,6 @@
-"""Trace-bus sinks: JSONL event logs and per-link pcap captures.
+"""Trace-bus sinks: JSONL event logs, per-link pcap captures, per-interface traces.
 
-Both sinks write files whose *content is a pure function of the simulation*:
+The two file sinks write files whose *content is a pure function of the simulation*:
 records are stamped with virtual time only (never wall-clock), dict keys are
 sorted, and floats use Python's shortest-round-trip ``repr`` — so a survey
 traced at ``jobs=4`` produces byte-identical files to ``jobs=1``, and traces
@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import json
 import pathlib
-from typing import Any, Dict, Optional, TextIO
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, TextIO
 
+from repro.netsim.node import Interface
 from repro.netsim.pcap import DEFAULT_SNAPLEN, write_pcap_header, write_pcap_record
+from repro.obs.bus import TraceBus
 
 #: Catch-all routing key for events that belong to no particular device
 #: (e.g. ``timer.fire`` in a multi-device testbed).
@@ -132,3 +135,87 @@ class PcapSink:
         for stream in self._streams.values():
             stream.close()
         self._streams.clear()
+
+
+@dataclass(frozen=True)
+class TraceEntry:
+    """One captured frame."""
+
+    timestamp: float
+    direction: str  # "tx" or "rx"
+    frame: Any
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<{self.direction} @ {self.timestamp:.6f}s {self.frame!r}>"
+
+
+class PacketTrace:
+    """Record every frame crossing one interface, in memory.
+
+    The paper settles several behaviours "by inspecting packet traces" (the
+    ICMP translation tests in §3.2.3 hijack packets and look at what the NAT
+    emitted); this is the tcpdump of the reproduction.  It taps the same
+    ``link.tx`` events as :class:`PcapSink`: a frame the interface put on its
+    wire is ``"tx"``, one its link peer put on the wire is ``"rx"``, both
+    stamped at serialization-done — so a trace and a pcap of the same link
+    hold the same frames with the same timestamps.  Frames are the live
+    objects, not wire bytes.
+
+    Capturing needs a trace bus, which turns the staged engine on: :meth:`on`
+    reuses ``sim.bus`` when one is attached, otherwise attaches its own, and
+    :meth:`detach` removes a bus it attached once nothing else listens on it.
+    """
+
+    def __init__(self, iface: Interface):
+        self.iface = iface
+        self.entries: List[TraceEntry] = []
+        sim = iface.node.sim
+        self._owns_bus = sim.bus is None
+        self._bus: Optional[TraceBus] = TraceBus.attach(sim) if self._owns_bus else sim.bus
+        self._bus.subscribe(self)
+
+    @classmethod
+    def on(cls, iface: Interface) -> "PacketTrace":
+        """Start capturing on ``iface``."""
+        return cls(iface)
+
+    def handle(self, t: float, kind: str, fields: Dict[str, Any]) -> None:
+        if kind != "link.tx":
+            return
+        sender = fields.get("_iface")
+        if sender is self.iface:
+            direction = "tx"
+        elif sender is not None and sender.endpoint.peer.iface is self.iface:
+            direction = "rx"
+        else:
+            return
+        self.entries.append(TraceEntry(t, direction, fields["_frame"]))
+
+    def detach(self) -> None:
+        """Stop capturing; the entries stay."""
+        if self._bus is None:
+            return
+        if self._bus.unsubscribe(self) == 0 and self._owns_bus:
+            self._bus.detach()
+        self._bus = None
+
+    def clear(self) -> None:
+        self.entries.clear()
+
+    def select(
+        self,
+        direction: Optional[str] = None,
+        predicate: Optional[Callable[[Any], bool]] = None,
+    ) -> List[TraceEntry]:
+        """Filter captured entries by direction and/or a frame predicate."""
+        out = []
+        for entry in self.entries:
+            if direction is not None and entry.direction != direction:
+                continue
+            if predicate is not None and not predicate(entry.frame):
+                continue
+            out.append(entry)
+        return out
+
+    def __len__(self) -> int:
+        return len(self.entries)

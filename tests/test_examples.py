@@ -2,9 +2,12 @@
 
 import importlib.util
 import pathlib
+import re
 import sys
 
 import pytest
+
+from repro.netsim.pcap import read_pcap
 
 EXAMPLES = pathlib.Path(__file__).parent.parent / "examples"
 
@@ -49,3 +52,15 @@ def test_keepalive_advisor_rejects_unknown_tags(monkeypatch):
     monkeypatch.setattr(sys, "argv", ["keepalive_advisor.py", "nosuch"])
     with pytest.raises(SystemExit, match="unknown device tags"):
         _load("keepalive_advisor").main()
+
+
+def test_packet_capture_runs(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(sys, "argv", ["packet_capture.py", str(tmp_path)])
+    _load("packet_capture").main()
+    out = capsys.readouterr().out
+    count, path = re.search(r"wrote (\d+) frames to (\S+)", out).groups()
+    assert pathlib.Path(path) == tmp_path / "bu1.wan.pcap"
+    assert len(read_pcap(path)) == int(count) > 0
+    mix = out.split("protocol mix:", 1)[1]
+    for proto in ("udp", "tcp", "sctp"):
+        assert f"'{proto}'" in mix

@@ -10,7 +10,7 @@ from repro.devices.profile import (
     TcpTimeoutPolicy,
     UdpTimeoutPolicy,
 )
-from repro.netsim import PacketTrace
+from repro.obs import PacketTrace
 from repro.packets import PROTO_TCP, PROTO_UDP, TcpSegment, UdpDatagram
 from repro.protocols import DnsStubResolver
 from repro.testbed import Testbed

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.netsim import Link, Node, PacketTrace, Simulation, VlanSwitch, mac_allocator
+from repro.netsim import Link, Node, Simulation, VlanSwitch, mac_allocator
 from repro.netsim.addresses import BROADCAST_MAC
+from repro.obs import PacketTrace, TraceBus
 from repro.packets import EthernetFrame
 
 
@@ -167,6 +168,21 @@ class TestPacketTrace:
         ia.transmit(EthernetFrame(ib.mac, ia.mac, b"x"))
         sim.run()
         assert len(trace) == 0
+
+    def test_detach_returns_the_fast_path(self, sim, macs):
+        a, b, ia, ib, _link = _pair(sim, macs)
+        trace = PacketTrace.on(ia)
+        assert sim.bus is not None  # capture runs the staged engine
+        trace.detach()
+        assert sim.bus is None
+        windows = sim.fastpath_windows
+        ia.transmit(EthernetFrame(ib.mac, ia.mac, b"x"))
+        sim.run()
+        assert sim.fastpath_windows == windows + 1
+        # A bus attached before the trace outlives it.
+        bus = TraceBus.attach(sim)
+        PacketTrace.on(ia).detach()
+        assert sim.bus is bus
 
     def test_select_filters(self, sim, macs):
         a, b, ia, ib, _link = _pair(sim, macs)

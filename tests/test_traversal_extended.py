@@ -5,8 +5,8 @@ from ipaddress import IPv4Address
 import pytest
 
 from repro.devices.profile import FilteringBehavior, MappingBehavior, NatPolicy
-from repro.netsim import PacketTrace
-from repro.netsim.pcap import read_pcap, save_trace
+from repro.netsim.pcap import read_pcap
+from repro.obs import PacketTrace, PcapSink
 from repro.testbed import Testbed
 from repro.traversal import IceLiteSession, RelayServer, TcpHolePunchExperiment
 from tests.conftest import make_profile
@@ -105,21 +105,25 @@ class TestTcpHolePunch:
 
 
 class TestPcap:
-    def test_roundtrip_through_file(self, tmp_path):
+    @staticmethod
+    def _capture(tmp_path, payload, duration):
+        """Tap the WAN wire once, with a trace and a pcap sink on the same bus."""
         bed = Testbed.build([cone("a")])
         port = bed.port("a")
         trace = PacketTrace.on(port.gateway.wan_iface)
+        pcap = bed.sim.bus.subscribe(PcapSink(tmp_path))
         sink = bed.server.udp.bind(7000)
         sink.on_receive = lambda *args: None
         sock = bed.client.udp.bind(0, port.client_iface_index)
-        sock.send_to(b"capture-me", port.server_ip, 7000)
-        bed.sim.run(until=bed.sim.now + 2)
+        sock.send_to(payload, port.server_ip, 7000)
+        bed.sim.run(until=bed.sim.now + duration)
         trace.detach()
-        path = tmp_path / "wan.pcap"
-        count = save_trace(trace, str(path))
-        assert count == len(trace.entries) > 0
-        records = read_pcap(str(path))
-        assert len(records) == count
+        pcap.close()
+        return port, trace, read_pcap(str(tmp_path / "a.wan.pcap"))
+
+    def test_roundtrip_through_file(self, tmp_path):
+        port, trace, records = self._capture(tmp_path, b"capture-me", 2)
+        assert len(records) == len(trace.entries) > 0
         # The raw frame must parse back into the translated packet.
         from repro.packets import EthernetFrame, IPv4Packet
 
@@ -128,20 +132,13 @@ class TestPcap:
         assert b"capture-me" in frame.payload.payload.payload
 
     def test_timestamps_preserved_to_microseconds(self, tmp_path):
-        bed = Testbed.build([cone("a")])
-        port = bed.port("a")
-        trace = PacketTrace.on(port.gateway.wan_iface)
-        sink = bed.server.udp.bind(7000)
-        sink.on_receive = lambda *args: None
-        sock = bed.client.udp.bind(0, port.client_iface_index)
-        sock.send_to(b"t", port.server_ip, 7000)
-        bed.sim.run(until=bed.sim.now + 1)
-        trace.detach()
-        path = tmp_path / "t.pcap"
-        save_trace(trace, str(path))
-        records = read_pcap(str(path))
-        for entry, (timestamp, _raw) in zip(trace.entries, records):
+        _port, trace, records = self._capture(tmp_path, b"t", 1)
+        # One tap, two views: the trace and the pcap hold the same frames,
+        # in the same order, with the same timestamps.
+        assert len(records) == len(trace.entries) > 0
+        for entry, (timestamp, raw) in zip(trace.entries, records):
             assert timestamp == pytest.approx(entry.timestamp, abs=1e-6)
+            assert raw == entry.frame.to_bytes()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.pcap"
