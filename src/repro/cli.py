@@ -7,8 +7,9 @@ Commands:
 * ``survey`` — run several families, optionally exporting CSV series.
 * ``classify`` — STUN-style classification of selected devices.
 * ``compliance`` — grade devices against RFC 4787 / 5382 / 5508.
-* ``bench`` — run a campaign, print and dump its performance counters
-  (``BENCH_survey.json``); ``--jobs N`` shards devices across processes.
+* ``bench`` — run a campaign, print its counters and dump them as JSON;
+  ``--jobs N`` shards devices across processes.  Timing belongs to
+  ``perfbench/``, not to this dump.
 * ``trace`` — summarize JSONL trace files produced by ``--trace``.
 
 ``probe``, ``survey``, ``report`` and ``bench`` all accept the flight-recorder
@@ -414,9 +415,8 @@ def cmd_bench(args, out) -> int:
 
     The dump's ``campaign`` block is the resolved knob mapping plus seed,
     tests, chaos and engine; a partitioned run adds a ``partition`` block
-    (worker count, sync rounds, boundary frames, CPU split) and records the
-    same in its history entry, so ``tools/bench_diff.py`` can guard the
-    partition-scaling rows like any other family wall time.
+    (worker count, sync rounds, boundary frames, CPU split).  Nothing is
+    written besides ``--output``.
     """
     from repro.core import write_bench_json
     from repro.core.store import SCHEMA_VERSION
@@ -473,7 +473,6 @@ def cmd_bench(args, out) -> int:
         ],
         "stats": stats.as_dict(),
     }
-    extra = None
     if partitioned:
         payload["partition"] = {
             "partitions": runner.partitions,
@@ -483,11 +482,6 @@ def cmd_bench(args, out) -> int:
             "hub_cpu_seconds": round(runner.last_hub_cpu_seconds, 3),
             "critical_path_seconds": round(runner.last_critical_path_seconds, 3),
         }
-        extra = {
-            key: payload["partition"][key]
-            for key in ("partitions", "sync_rounds", "boundary_frames", "critical_path_seconds")
-        }
-        extra["elapsed_wall_seconds"] = payload["elapsed_wall_seconds"]
     if results.metrics is not None:
         payload["metrics"] = results.metrics.as_dict()
     from repro.workload.families import scaling_curves
@@ -500,43 +494,7 @@ def cmd_bench(args, out) -> int:
         payload["curves"] = curves
     write_bench_json(args.output, payload)
     out(f"wrote {args.output}")
-    history = _append_bench_history(pathlib.Path(args.output), runner, stats, extra=extra)
-    if history is not None:
-        out(f"appended {history}")
     return 0
-
-
-def _append_bench_history(output: pathlib.Path, runner, stats, extra=None) -> Optional[pathlib.Path]:
-    """Append one trajectory point to ``BENCH_history.json`` next to the dump.
-
-    The ``pr`` field counts the entries in the repo's ``CHANGES.md`` (one
-    line per merged PR), looked up from the output file upwards; it is
-    ``None`` when no changelog is in sight (e.g. dumps into /tmp).
-    """
-    history_path = output.resolve().parent / "BENCH_history.json"
-    pr = None
-    for ancestor in [output.resolve().parent, *output.resolve().parents]:
-        changelog = ancestor / "CHANGES.md"
-        if changelog.is_file():
-            pr = sum(1 for line in changelog.read_text().splitlines() if line.startswith("- PR"))
-            break
-    entry = {
-        "pr": pr,
-        "config_hash": runner.fingerprint(),
-        "events_per_sec": round(stats.events_per_sec, 1),
-        "family_wall": {k: round(v, 6) for k, v in sorted(stats.family_wall.items())},
-    }
-    if extra:
-        entry.update(extra)
-    try:
-        history = json.loads(history_path.read_text()) if history_path.is_file() else []
-        if not isinstance(history, list):
-            return None
-    except (OSError, ValueError):
-        return None
-    history.append(entry)
-    history_path.write_text(json.dumps(history, indent=2, sort_keys=True) + "\n")
-    return history_path
 
 
 def cmd_trace(args, out) -> int:

@@ -194,7 +194,7 @@ class _PartitionedOutcome:
         only the slowest one bounds the run, while the hub's core island
         and routing are serial with every window.  On a single-core host
         the measured wall is instead the *sum* of all islands (plus IPC),
-        which is why BENCH rows record both.
+        which is why the bench dump's ``partition`` block records both.
         """
         worst = max(self.island_cpu_seconds, default=0.0)
         return self.hub_cpu_seconds + worst

@@ -3,8 +3,10 @@
 :class:`SimStats` aggregates what the simulator core and the campaign driver
 already know — events processed, stale-entry purges, wall-clock per
 experiment family — into one machine-readable block.  :class:`SurveyRunner`
-attaches it to its results and can dump it as ``BENCH_survey.json`` so every
-future optimisation PR has a trajectory to beat.
+attaches it to its results; ``repro bench`` prints it and dumps it as JSON.
+The counters are deterministic across ``jobs=N``; the wall-clock fields are
+summed shard wall, not a benchmark — timing campaigns is ``perfbench/``'s
+job.
 """
 
 from __future__ import annotations
@@ -108,7 +110,7 @@ class SimStats:
 
 
 def write_bench_json(path: Union[str, pathlib.Path], payload: Dict) -> pathlib.Path:
-    """Write a machine-readable benchmark record (``BENCH_*.json``)."""
+    """Write a ``repro bench`` JSON dump (sorted keys, trailing newline)."""
     target = pathlib.Path(path)
     target.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return target

@@ -22,8 +22,8 @@ Every file carries ``schema_version`` and the campaign *config hash* — a
 fingerprint of ``(profiles, seed, knobs, impairment, faults)``.  Opening a
 store with a different hash (or schema) raises
 :class:`IncompatibleStoreError` instead of silently mixing incomparable
-measurements; the same hash is stamped into ``BENCH_*.json`` so the bench
-trajectory can detect incomparable runs.
+measurements; the same hash is stamped into every ``repro bench --output``
+dump, so two dumps of different campaigns are told apart.
 
 Schema migration: stores written by the v3/v4 device-keyed engine (cells
 carry a ``device`` key, manifests list ``devices``) still *read* — reports

@@ -16,7 +16,7 @@ turn the stream into durable, shareable artifacts:
   interface's frames, for tests and examples that inspect what a NAT emitted;
 * :class:`~repro.obs.metrics.MetricsRegistry` — counters, gauges and
   histograms plus virtual-time spans per measurement family, mergeable
-  across survey shards and dumped into ``BENCH_*.json``.
+  across survey shards and dumped into the ``repro bench --output`` JSON.
 
 The bus is **zero-overhead when disabled**: publishers guard every emission
 with a single ``if sim.bus is not None`` check, no event objects are built,

@@ -166,6 +166,7 @@ def test_one_declaration_reaches_every_consumer(probe_knob, tmp_path):
     code = cli.main(["bench", "--families", "knob_probe", "--tags", "je",
                      "--probe-level", "7", "--output", str(output)])
     assert code == 0
+    assert [path.name for path in tmp_path.iterdir()] == ["bench.json"]
     payload = json.loads(output.read_text())
     assert payload["campaign"]["probe_level"] == 7
     assert "knob_probe" in payload["stats"]["family_wall"]

@@ -120,6 +120,9 @@ class TestThroughputProbe:
         forwarding = ForwardingPolicy(up_rate_bps=20e6, down_rate_bps=10e6)
         bed = Testbed.build([make_profile("d", forwarding=forwarding)])
         result = ThroughputProbe(transfer_bytes=512 * 1024).run_all(bed)["d"]
+        # All four directions ran, and the upload moved the whole transfer.
+        assert None not in (result.upload, result.download, result.upload_bidir, result.download_bidir)
+        assert result.upload.bytes_moved >= 512 * 1024
         assert result.upload.throughput_bps / 1e6 == pytest.approx(19, rel=0.12)
         assert result.download.throughput_bps / 1e6 == pytest.approx(9.5, rel=0.12)
 
