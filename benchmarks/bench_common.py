@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Dict
-
 from repro.analysis import kendall_tau
 from repro.core.results import DeviceSeries
 from repro.devices import catalog_profiles
@@ -14,22 +12,5 @@ def fresh_testbed(seed: int = 0) -> Testbed:
     return Testbed.build(catalog_profiles(), seed=seed)
 
 
-def series_of(results: Dict, name: str, unit: str, cutoff=None) -> DeviceSeries:
-    series = DeviceSeries(name, unit)
-    for tag, result in results.items():
-        if result.samples:
-            series.add(tag, result.summary())
-        elif cutoff is not None:
-            series.add_censored(tag, cutoff)
-    return series
-
-
 def ordering_agreement(series: DeviceSeries, paper_order) -> float:
     return kendall_tau(list(paper_order), series.ordered_tags())
-
-
-def comparison_block(title: str, rows) -> str:
-    lines = [title]
-    for name, paper, measured in rows:
-        lines.append(f"  {name:<38} paper={paper:>10}   measured={measured:>10}")
-    return "\n".join(lines)

@@ -1,14 +1,14 @@
 """Shared infrastructure for the figure/table benches.
 
-Each bench regenerates one of the paper's figures or tables: it runs the
-measurement campaign for that artifact (timed via pytest-benchmark), renders
-the series next to the paper's published numbers, writes the rendering to
+Each figure, table and observation bench reads one session-wide registry
+campaign (:func:`survey`): the paper's default menu plus the PMTU census,
+run by :class:`~repro.core.survey.SurveyRunner` exactly as ``repro survey``
+runs it (per-device shards, tag-derived seeds).  A bench renders its series
+next to the paper's published numbers, writes the rendering to
 ``benchmarks/results/``, and asserts shape agreement (orderings via Kendall
-tau, population stats within tolerance).
-
-Expensive campaigns that feed several benches (the TCP-2/TCP-3 transfer
-run feeds Figures 8 and 9) are cached per session: the first bench that
-needs a result times its production; later benches reuse it.
+tau, population stats within tolerance).  Timing campaigns is
+``perfbench/``'s job; the ablation and extension benches, which compare
+variants with each other, keep their own testbeds.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ from __future__ import annotations
 import pathlib
 
 import pytest
+
+from repro.core import SurveyRunner, registry
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -28,29 +30,15 @@ def write_artifact(name: str, text: str) -> None:
     print(text)
 
 
-class SurveyCache:
-    """Session-wide cache of measurement campaign results."""
-
-    def __init__(self):
-        self.store = {}
-
-    def get_or_run(self, key: str, producer):
-        if key not in self.store:
-            self.store[key] = producer()
-        return self.store[key]
-
-
 @pytest.fixture(scope="session")
-def cache():
-    return SurveyCache()
+def survey():
+    """The campaign every paper anchor is checked on.
 
-
-@pytest.fixture(scope="session")
-def quick_settings():
-    """Campaign parameters for the benches: small repetitions and transfer
-    sizes; the shapes are stable well below paper-scale iteration counts."""
-    return {
-        "udp_repetitions": 3,
-        "udp5_repetitions": 1,
-        "transfer_bytes": 1536 * 1024,
-    }
+    Small repetitions and transfer sizes: the shapes are stable well below
+    paper-scale iteration counts.
+    """
+    runner = SurveyRunner(jobs=2, udp_repetitions=3, udp5_repetitions=1, transfer_bytes=1536 * 1024)
+    results = runner.run(tests=[*registry.default_names(), "pmtu"])
+    if results.errors:
+        pytest.fail(f"campaign shards failed: {results.errors}")
+    return results

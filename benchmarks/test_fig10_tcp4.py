@@ -2,23 +2,15 @@
 
 import pytest
 
-from bench_common import fresh_testbed
 from conftest import write_artifact
 
 from repro import paperdata
 from repro.analysis import kendall_tau, render_series
-from repro.core import TcpBindingCapacityProbe
 from repro.core.results import DeviceSeries, Summary, population_stats
 
 
-def test_fig10_tcp4(benchmark, cache):
-    results = benchmark.pedantic(
-        lambda: cache.get_or_run(
-            "tcp4", lambda: TcpBindingCapacityProbe().run_all(fresh_testbed())
-        ),
-        rounds=1,
-        iterations=1,
-    )
+def test_fig10_tcp4(survey):
+    results = survey.tcp4
     series = DeviceSeries("TCP-4", "bindings")
     for tag, result in results.items():
         series.add(tag, Summary.of([float(result.max_bindings)]))

@@ -1,37 +1,21 @@
 """Figure 2: UDP-1/2/3 medians side by side, ordered by the UDP-1 result.
 
-This bench runs all three UDP timeout campaigns across the 34-device
-population (they are cached for the per-figure benches that follow).
+The three UDP timeout families come from the session campaign, which
+also feeds the per-figure benches.
 """
 
-from bench_common import fresh_testbed, ordering_agreement, series_of
+from bench_common import ordering_agreement
 from conftest import write_artifact
 
 from repro import paperdata
 from repro.analysis import render_series_multi
-from repro.core import UdpTimeoutProbe
+from repro.analysis.figures import timeout_series
 
 
-def _run_all_udp(cache, settings):
-    def produce(variant, maker):
-        return cache.get_or_run(
-            variant,
-            lambda: maker(repetitions=settings["udp_repetitions"]).run_all(fresh_testbed()),
-        )
-
-    return {
-        "UDP-1": produce("udp1", UdpTimeoutProbe.udp1),
-        "UDP-2": produce("udp2", UdpTimeoutProbe.udp2),
-        "UDP-3": produce("udp3", UdpTimeoutProbe.udp3),
-    }
-
-
-def test_fig2_udp_overview(benchmark, cache, quick_settings):
-    results = benchmark.pedantic(
-        _run_all_udp, args=(cache, quick_settings), rounds=1, iterations=1
-    )
+def test_fig2_udp_overview(survey):
+    results = {"UDP-1": survey.udp1, "UDP-2": survey.udp2, "UDP-3": survey.udp3}
     series = {
-        name: series_of(data, name, "s") for name, data in results.items()
+        name: timeout_series(data, name) for name, data in results.items()
     }
     order = series["UDP-1"].ordered_tags()
     text = render_series_multi(series, "Figure 2: median UDP binding timeouts [s]", order=order)

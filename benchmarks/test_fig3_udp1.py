@@ -2,26 +2,16 @@
 
 import pytest
 
-from bench_common import fresh_testbed, ordering_agreement, series_of
+from bench_common import ordering_agreement
 from conftest import write_artifact
 
 from repro import paperdata
 from repro.analysis import render_series
-from repro.core import UdpTimeoutProbe
+from repro.analysis.figures import timeout_series
 
 
-def test_fig3_udp1(benchmark, cache, quick_settings):
-    results = benchmark.pedantic(
-        lambda: cache.get_or_run(
-            "udp1",
-            lambda: UdpTimeoutProbe.udp1(
-                repetitions=quick_settings["udp_repetitions"]
-            ).run_all(fresh_testbed()),
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    series = series_of(results, "UDP-1", "s")
+def test_fig3_udp1(survey):
+    series = timeout_series(survey.udp1, "UDP-1")
     stats = series.population()
     text = render_series(series, "Figure 3: UDP-1 single outbound packet [s]")
     text += (

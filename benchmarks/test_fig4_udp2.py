@@ -2,26 +2,16 @@
 
 import pytest
 
-from bench_common import fresh_testbed, ordering_agreement, series_of
+from bench_common import ordering_agreement
 from conftest import write_artifact
 
 from repro import paperdata
 from repro.analysis import render_series
-from repro.core import UdpTimeoutProbe
+from repro.analysis.figures import timeout_series
 
 
-def test_fig4_udp2(benchmark, cache, quick_settings):
-    results = benchmark.pedantic(
-        lambda: cache.get_or_run(
-            "udp2",
-            lambda: UdpTimeoutProbe.udp2(
-                repetitions=quick_settings["udp_repetitions"]
-            ).run_all(fresh_testbed()),
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    series = series_of(results, "UDP-2", "s")
+def test_fig4_udp2(survey):
+    series = timeout_series(survey.udp2, "UDP-2")
     stats = series.population()
     text = render_series(series, "Figure 4: UDP-2 single packet out, stream in [s]")
     text += f"\npaper: median={paperdata.FIG4_POP_MEDIAN} mean={paperdata.FIG4_POP_MEAN} min={paperdata.UDP2_MINIMUM_SECONDS}"

@@ -2,26 +2,16 @@
 
 import pytest
 
-from bench_common import fresh_testbed, ordering_agreement, series_of
+from bench_common import ordering_agreement
 from conftest import write_artifact
 
 from repro import paperdata
 from repro.analysis import render_series
-from repro.core import UdpTimeoutProbe
+from repro.analysis.figures import timeout_series
 
 
-def test_fig5_udp3(benchmark, cache, quick_settings):
-    results = benchmark.pedantic(
-        lambda: cache.get_or_run(
-            "udp3",
-            lambda: UdpTimeoutProbe.udp3(
-                repetitions=quick_settings["udp_repetitions"]
-            ).run_all(fresh_testbed()),
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    series = series_of(results, "UDP-3", "s")
+def test_fig5_udp3(survey):
+    series = timeout_series(survey.udp3, "UDP-3")
     stats = series.population()
     text = render_series(series, "Figure 5: UDP-3 bidirectional traffic [s]")
     text += f"\npaper: median={paperdata.FIG5_POP_MEDIAN} mean={paperdata.FIG5_POP_MEAN}"
@@ -32,21 +22,10 @@ def test_fig5_udp3(benchmark, cache, quick_settings):
     assert ordering_agreement(series, paperdata.FIG5_ORDER) > 0.85
 
 
-def test_fig5_lengthening_devices(benchmark, cache, quick_settings):
+def test_fig5_lengthening_devices(survey):
     """§4.1: be1, dl10, ng3, ng4, be2, ng5 lengthen their timeouts vs UDP-2;
     no device shortens."""
-    def produce():
-        udp2 = cache.get_or_run(
-            "udp2",
-            lambda: UdpTimeoutProbe.udp2(repetitions=quick_settings["udp_repetitions"]).run_all(fresh_testbed()),
-        )
-        udp3 = cache.get_or_run(
-            "udp3",
-            lambda: UdpTimeoutProbe.udp3(repetitions=quick_settings["udp_repetitions"]).run_all(fresh_testbed()),
-        )
-        return udp2, udp3
-
-    udp2, udp3 = benchmark.pedantic(produce, rounds=1, iterations=1)
+    udp2, udp3 = survey.udp2, survey.udp3
     for tag in paperdata.UDP3_LENGTHENING_TAGS:
         assert udp3[tag].summary().median > udp2[tag].summary().median + 10, tag
     for tag in udp2:

@@ -4,29 +4,17 @@ Paper: "most devices use a timeout scheme that is independent of the server
 port.  Notable exception is dl8, which uses a shorter timeout for DNS."
 """
 
-import pytest
-
-from bench_common import fresh_testbed, series_of
 from conftest import write_artifact
 
 from repro import paperdata
 from repro.analysis import render_series_multi
-from repro.core import UdpServiceProbe
+from repro.analysis.figures import timeout_series
 
 
-def test_fig6_udp5_services(benchmark, cache, quick_settings):
-    results = benchmark.pedantic(
-        lambda: cache.get_or_run(
-            "udp5",
-            lambda: UdpServiceProbe(
-                repetitions=quick_settings["udp5_repetitions"]
-            ).run_all(fresh_testbed()),
-        ),
-        rounds=1,
-        iterations=1,
-    )
+def test_fig6_udp5_services(survey):
+    results = survey.udp5
     series = {
-        service: series_of(results[service], service, "s")
+        service: timeout_series(results[service], service)
         for service in paperdata.FIG6_SERVICES
     }
     order = series["http"].ordered_tags()

@@ -2,24 +2,16 @@
 
 import pytest
 
-from bench_common import fresh_testbed, series_of
 from conftest import write_artifact
 
 from repro import paperdata
 from repro.analysis import kendall_tau, render_series
-from repro.core import TcpTimeoutProbe
+from repro.analysis.figures import timeout_series
 from repro.core.results import population_stats
 
 
-def test_fig7_tcp1(benchmark, cache):
-    results = benchmark.pedantic(
-        lambda: cache.get_or_run(
-            "tcp1", lambda: TcpTimeoutProbe().run_all(fresh_testbed())
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    series = series_of(results, "TCP-1", "s", cutoff=24 * 3600.0)
+def test_fig7_tcp1(survey):
+    series = timeout_series(survey.tcp1, "TCP-1", cutoff=24 * 3600.0)
     text = render_series(series, "Figure 7: TCP-1 binding timeouts [s]", log_scale=True,
                          censored_label=">24h")
     text += (

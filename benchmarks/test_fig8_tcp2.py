@@ -7,7 +7,6 @@ anchors from §4.2 are asserted.
 
 import pytest
 
-from bench_common import fresh_testbed
 from conftest import write_artifact
 
 from repro import paperdata
@@ -16,19 +15,8 @@ from repro.core import ThroughputProbe
 from repro.core.results import median
 
 
-def run_throughput(cache, quick_settings):
-    return cache.get_or_run(
-        "tcp2",
-        lambda: ThroughputProbe(
-            transfer_bytes=quick_settings["transfer_bytes"]
-        ).run_all(fresh_testbed()),
-    )
-
-
-def test_fig8_tcp2(benchmark, cache, quick_settings):
-    results = benchmark.pedantic(
-        run_throughput, args=(cache, quick_settings), rounds=1, iterations=1
-    )
+def test_fig8_tcp2(survey):
+    results = survey.tcp2
     probe = ThroughputProbe()
     series = {
         "down": probe.throughput_series(results, "download"),

@@ -10,19 +10,15 @@ paper's 291/400 ms.
 
 import pytest
 
-from bench_common import fresh_testbed
 from conftest import write_artifact
-from test_fig8_tcp2 import run_throughput
 
 from repro import paperdata
 from repro.analysis import kendall_tau, render_series_multi
 from repro.core import ThroughputProbe
 
 
-def test_fig9_tcp3(benchmark, cache, quick_settings):
-    results = benchmark.pedantic(
-        run_throughput, args=(cache, quick_settings), rounds=1, iterations=1
-    )
+def test_fig9_tcp3(survey):
+    results = survey.tcp2
     probe = ThroughputProbe()
     series = {
         "down": probe.delay_series(results, "download"),

@@ -2,32 +2,13 @@
 
 import pytest
 
-from bench_common import fresh_testbed
 from conftest import write_artifact
 
-from repro import paperdata
 from repro.compliance import check_device, population_summary
-from repro.core import IcmpTranslationTest, TcpTimeoutProbe, UdpTimeoutProbe
 
 
-def _collect(cache, quick_settings):
-    udp1 = cache.get_or_run(
-        "udp1",
-        lambda: UdpTimeoutProbe.udp1(repetitions=quick_settings["udp_repetitions"]).run_all(fresh_testbed()),
-    )
-    udp3 = cache.get_or_run(
-        "udp3",
-        lambda: UdpTimeoutProbe.udp3(repetitions=quick_settings["udp_repetitions"]).run_all(fresh_testbed()),
-    )
-    tcp1 = cache.get_or_run("tcp1", lambda: TcpTimeoutProbe().run_all(fresh_testbed()))
-    icmp = cache.get_or_run("icmp", lambda: IcmpTranslationTest().run_all(fresh_testbed()))
-    return udp1, udp3, tcp1, icmp
-
-
-def test_observations_and_compliance(benchmark, cache, quick_settings):
-    udp1, udp3, tcp1, icmp = benchmark.pedantic(
-        _collect, args=(cache, quick_settings), rounds=1, iterations=1
-    )
+def test_observations_and_compliance(survey):
+    udp1, udp3, tcp1, icmp = survey.udp1, survey.udp3, survey.tcp1, survey.icmp
     reports = {
         tag: check_device(tag, udp1=udp1[tag], tcp1=tcp1[tag], icmp=icmp[tag])
         for tag in udp1
@@ -64,12 +45,10 @@ def test_observations_and_compliance(benchmark, cache, quick_settings):
     assert two_hour_survivors < 17
 
 
-def test_no_device_wins_everywhere(benchmark, cache, quick_settings):
+def test_no_device_wins_everywhere(survey):
     """§4.4: "no single home gateway consistently performs better than
     others across all tests"."""
-    udp1, _udp3, tcp1, icmp = benchmark.pedantic(
-        _collect, args=(cache, quick_settings), rounds=1, iterations=1
-    )
+    udp1, tcp1, icmp = survey.udp1, survey.tcp1, survey.icmp
     from repro.devices.catalog import TCP_BINDING_CAPS
 
     def rank(values, reverse=True):

@@ -7,18 +7,14 @@ device and shows that the black-hole set is exactly the set of devices whose
 Table-2 TCP Frag Needed cell is empty.
 """
 
-from bench_common import fresh_testbed
 from conftest import write_artifact
 
-from repro.core import PmtuBlackholeTest
 from repro.devices import CATALOG
 from repro.devices.profile import IcmpAction
 
 
-def test_pmtu_blackhole_census(benchmark):
-    results = benchmark.pedantic(
-        lambda: PmtuBlackholeTest().run_all(fresh_testbed()), rounds=1, iterations=1
-    )
+def test_pmtu_blackhole_census(survey):
+    results = survey.pmtu
     lines = ["PMTU black-hole census (path MTU 1000, 120 KiB transfer)", "-" * 58]
     for tag in sorted(results):
         result = results[tag]

@@ -1,24 +1,13 @@
 """Table 2: ICMP translation, SCTP/DCCP support, DNS over TCP/UDP."""
 
-from bench_common import fresh_testbed
 from conftest import write_artifact
 
 from repro import paperdata
 from repro.analysis import render_table2
-from repro.core import DnsProxyTest, IcmpTranslationTest, TransportSupportTest
 
 
-def _run_other(cache):
-    icmp = cache.get_or_run("icmp", lambda: IcmpTranslationTest().run_all(fresh_testbed()))
-    transports = cache.get_or_run(
-        "transports", lambda: TransportSupportTest().run_all(fresh_testbed())
-    )
-    dns = cache.get_or_run("dns", lambda: DnsProxyTest().run_all(fresh_testbed()))
-    return icmp, transports, dns
-
-
-def test_table2_other_tests(benchmark, cache):
-    icmp, transports, dns = benchmark.pedantic(_run_other, args=(cache,), rounds=1, iterations=1)
+def test_table2_other_tests(survey):
+    icmp, transports, dns = survey.icmp, survey.transports, survey.dns
     text = render_table2(icmp, transports, dns)
     write_artifact("table2_other.txt", text)
 

@@ -6,25 +6,13 @@ an expired binding while 4 create a new one; 7 devices never preserve.
 
 from collections import Counter
 
-from bench_common import fresh_testbed
 from conftest import write_artifact
 
 from repro import paperdata
-from repro.core import UdpTimeoutProbe, analyze_port_behavior
 
 
-def test_udp4_port_reuse(benchmark, cache, quick_settings):
-    results = benchmark.pedantic(
-        lambda: cache.get_or_run(
-            "udp1",
-            lambda: UdpTimeoutProbe.udp1(
-                repetitions=quick_settings["udp_repetitions"]
-            ).run_all(fresh_testbed()),
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    behaviors = {tag: analyze_port_behavior(result) for tag, result in results.items()}
+def test_udp4_port_reuse(survey):
+    behaviors = survey.udp4  # derived from the campaign's UDP-1 cells
     counts = Counter(b.category for b in behaviors.values())
     lines = ["UDP-4: binding and port-pair reuse behaviour", "-" * 46]
     for tag in sorted(behaviors):

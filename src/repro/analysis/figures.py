@@ -104,8 +104,8 @@ def timeout_series(
 
     Works for any result type with ``samples``/``summary()`` (UDP and TCP
     timeout families); devices without samples are censored at ``cutoff``
-    when one is given, else omitted.  Shared by the registry's report hooks
-    and the CLI's probe renderers.
+    when one is given, else omitted.  Shared by the registry's report and
+    terminal hooks.
     """
     series = DeviceSeries(name, unit)
     for tag, result in results.items():

@@ -12,6 +12,12 @@ Commands:
   ``perfbench/``, not to this dump.
 * ``trace`` — summarize JSONL trace files produced by ``--trace``.
 
+``probe``, ``survey``, ``compliance``, ``report`` and ``bench`` all run a
+registry campaign (:class:`~repro.core.survey.SurveyRunner`): one fresh
+testbed per device and family, seeded from the device tag.  ``classify``
+is the one command that builds a shared testbed (STUN classification is
+not a campaign family).
+
 ``probe``, ``survey``, ``report`` and ``bench`` all accept the flight-recorder
 flags ``--trace DIR`` (per-device JSONL event traces), ``--pcap DIR``
 (per-link pcap captures) and ``--metrics`` (campaign counters/histograms);
@@ -26,41 +32,16 @@ import pathlib
 import sys
 from typing import List, Optional, Sequence
 
-from repro.analysis import render_series, render_table1, series_to_csv
-from repro.analysis.figures import timeout_series
+from repro.analysis import render_table1, series_to_csv
 from repro.compliance import check_device, population_summary
-from repro.core import (
-    BindingRateProbe,
-    DnsProxyTest,
-    IcmpTranslationTest,
-    OptionsTest,
-    TcpBindingCapacityProbe,
-    TcpTimeoutProbe,
-    ThroughputProbe,
-    TransportSupportTest,
-    UdpTimeoutProbe,
-    registry,
-)
-from repro.core.results import DeviceSeries
+from repro.core import registry
 from repro.devices import CATALOG, catalog_profiles
-from repro.obs import ObsConfig, ShardObserver, render_summary, summarize_paths
-from repro.testbed import Testbed
+from repro.obs import render_summary, summarize_paths
 
 #: Campaign families, straight from the experiment registry — a family
-#: registered by a core module is a valid ``--tests``/``--families`` value
-#: everywhere without touching this file.
+#: registered by a core module is a valid ``--test``/``--tests``/``--families``
+#: value everywhere without touching this file.
 FAMILY_CHOICES = registry.runnable_names()
-
-#: The single-probe menu: every registry family the probe renderer handles,
-#: plus the diagnostic probes that are not campaign families.  Opt-in
-#: families (``default_selected=False``, e.g. the NAT444 pair) run their own
-#: topology through the campaign path and are excluded here.
-PROBE_CHOICES = tuple(
-    name for name in FAMILY_CHOICES
-    if name != "udp5" and registry.get(name).default_selected
-) + (
-    "options", "binding-rate", "pmtu",
-)
 
 #: Per-command fallbacks when neither ``--tests`` nor ``--families`` nor a
 #: tier switch (``--cgn`` …) picked anything.  Kept out of argparse defaults
@@ -79,10 +60,6 @@ def _resolve_tags(tags: Optional[Sequence[str]]) -> List[str]:
     return list(tags)
 
 
-def _build_bed(tags: Sequence[str], seed: int, fastpath: bool = True) -> Testbed:
-    return Testbed.build(catalog_profiles(tags), seed=seed, fastpath=fastpath)
-
-
 def _parse_chaos(args):
     """Parse ``--impair``/``--fault`` flags into campaign chaos config."""
     from repro.gateway.faults import FaultSpec
@@ -95,21 +72,6 @@ def _parse_chaos(args):
     except ValueError as exc:
         raise SystemExit(f"bad chaos spec: {exc}") from None
     return impairment, faults
-
-
-def _obs_config(args) -> ObsConfig:
-    """Build the flight-recorder config from ``--trace/--pcap/--metrics``."""
-    return ObsConfig(
-        trace_dir=getattr(args, "trace", None),
-        pcap_dir=getattr(args, "pcap", None),
-        metrics=bool(getattr(args, "metrics", False)),
-    )
-
-
-def _emit_metrics(observer: Optional[ShardObserver], out) -> None:
-    """Print the collected metrics registry as JSON (probe/survey)."""
-    if observer is not None and observer.registry is not None:
-        out(json.dumps(observer.registry.as_dict(), indent=2, sort_keys=True))
 
 
 def _report_errors(results, out) -> None:
@@ -146,151 +108,56 @@ def _cgn_selection(args, base: Optional[List[str]], default: List[str]) -> List[
     return base + [name for name in extra if name not in base]
 
 
-def _run_probe(
-    name: str,
-    tags: Sequence[str],
-    repetitions: int,
-    seed: int,
-    out,
-    observer: Optional[ShardObserver] = None,
-    fastpath: bool = True,
-) -> Optional[DeviceSeries]:
-    bed = _build_bed(tags, seed, fastpath=fastpath)
-    if observer is None:
-        return _dispatch_probe(name, bed, repetitions, out)
-    # Flight recorder on: trace the family like a survey shard would.
-    observer.begin(bed, name)
-    try:
-        return _dispatch_probe(name, bed, repetitions, out)
-    finally:
-        observer.finish(bed, name)
-
-
-def _dispatch_probe(name: str, bed: Testbed, repetitions: int, out) -> Optional[DeviceSeries]:
-    if name in ("udp1", "udp2", "udp3"):
-        maker = getattr(UdpTimeoutProbe, name)
-        results = maker(repetitions=repetitions).run_all(bed)
-        series = timeout_series(results, name)
-        out(render_series(series, f"{name.upper()} binding timeouts [s]"))
-        return series
-    if name == "tcp1":
-        probe = TcpTimeoutProbe()
-        results = probe.run_all(bed)
-        series = probe.series(results)
-        out(render_series(series, "TCP-1 binding timeouts [s]", log_scale=True, censored_label=">24h"))
-        return series
-    if name == "tcp2":
-        results = ThroughputProbe().run_all(bed)
-        probe = ThroughputProbe()
-        series = probe.throughput_series(results, "download")
-        out(render_series(series, "TCP-2 download throughput [Mb/s]"))
-        delay = probe.delay_series(results, "download")
-        out(render_series(delay, "TCP-3 download queuing delay [ms]"))
-        return series
-    if name == "tcp4":
-        probe = TcpBindingCapacityProbe()
-        results = probe.run_all(bed)
-        series = probe.series(results)
-        out(render_series(series, "TCP-4 max bindings", log_scale=True))
-        return series
-    if name == "icmp":
-        results = IcmpTranslationTest().run_all(bed)
-        for tag in sorted(results):
-            result = results[tag]
-            out(
-                f"{tag:>5}  udp:{len(result.forwarded_kinds('udp')):>2}/10  "
-                f"tcp:{len(result.forwarded_kinds('tcp')):>2}/10  "
-                f"embedded-rewrite:{result.translates_embedded_transport()}  "
-                f"ip-cksum:{result.fixes_embedded_ip_checksum()}"
-            )
-        return None
-    if name == "transports":
-        results = TransportSupportTest().run_all(bed)
-        for tag in sorted(results):
-            sctp = results[tag]["sctp"]
-            dccp = results[tag]["dccp"]
-            out(f"{tag:>5}  sctp:{'pass' if sctp.supported else 'fail':<4} ({sctp.wire_view})  "
-                f"dccp:{'pass' if dccp.supported else 'fail'}")
-        return None
-    if name == "dns":
-        results = DnsProxyTest().run_all(bed)
-        for tag in sorted(results):
-            result = results[tag]
-            out(f"{tag:>5}  udp:{result.answers_udp}  accepts-tcp:{result.accepts_tcp}  "
-                f"answers-tcp:{result.answers_tcp}  upstream:{result.upstream_transport_for_tcp}")
-        return None
-    if name == "options":
-        results = OptionsTest().run_all(bed)
-        for tag in sorted(results):
-            result = results[tag]
-            out(f"{tag:>5}  ip-options:{result.ip_options_pass}  "
-                f"record-route:{result.record_route_recorded}  "
-                f"tcp-options:{result.tcp_options_preserved}")
-        return None
-    if name == "binding-rate":
-        probe = BindingRateProbe()
-        results = probe.run_all(bed)
-        series = probe.series(results)
-        out(render_series(series, "Binding setup rate [bindings/s]"))
-        return series
-    if name == "pmtu":
-        from repro.core import PmtuBlackholeTest
-
-        results = PmtuBlackholeTest().run_all(bed)
-        for tag in sorted(results):
-            result = results[tag]
-            verdict = f"ok in {result.duration:.2f}s (mss {result.mss_after})" if result.completed else "BLACK HOLE"
-            out(f"{tag:>5}  {verdict}")
-        return None
-    raise SystemExit(f"unknown probe {name!r}")
-
-
 def cmd_list_devices(args, out) -> int:
     out(render_table1(catalog_profiles()))
     return 0
 
 
 def cmd_probe(args, out) -> int:
-    tags = _resolve_tags(args.tags)
-    obs = _obs_config(args)
-    observer = ShardObserver(obs) if obs.enabled else None
-    try:
-        _run_probe(args.test, tags, args.repetitions, args.seed, out, observer=observer,
-                   fastpath=not args.no_fastpath)
-    finally:
-        if observer is not None:
-            observer.close()
-    _emit_metrics(observer, out)
-    return 0
+    """A one-family survey."""
+    args.tests = [args.test]
+    return cmd_survey(args, out)
 
 
 def cmd_survey(args, out) -> int:
+    """Run the campaign the flags describe and print each family's block.
+
+    Without ``--out`` the campaign is in-memory; with it, every cell lands
+    in the store (``--resume`` skips the ones already there).
+    """
+    if getattr(args, "resume", False) and not args.out:
+        raise SystemExit("--resume needs --out DIR (the store to resume from)")
     tags = _resolve_tags(args.tags)
-    if (args.families or args.out or args.resume or args.jobs > 1 or args.partitions is not None
-            or any(getattr(args, tier.name) for tier in registry.tiers())):
-        return _run_campaign(args, tags, out)
-    csv_dir = pathlib.Path(args.csv_dir) if args.csv_dir else None
+    csv_dir = pathlib.Path(args.csv_dir) if getattr(args, "csv_dir", None) else None
     if csv_dir:
         csv_dir.mkdir(parents=True, exist_ok=True)
-    obs = _obs_config(args)
-    observer = ShardObserver(obs) if obs.enabled else None
-    try:
-        for name in args.tests or DEFAULT_SURVEY_TESTS:
-            out(f"\n=== {name} ===")
-            series = _run_probe(name, tags, args.repetitions, args.seed, out, observer=observer,
-                                fastpath=not args.no_fastpath)
-            if series is not None and csv_dir:
-                (csv_dir / f"{name}.csv").write_text(series_to_csv(series) + "\n")
-                out(f"[wrote {csv_dir / f'{name}.csv'}]")
-    finally:
-        if observer is not None:
-            observer.close()
-    _emit_metrics(observer, out)
-    return 0
+    runner, _selected, results = _run_from_args(args, tags, DEFAULT_SURVEY_TESTS)
+    partitioned = getattr(args, "partitions", None) is not None
+    for name, mapping in results.families.items():
+        descriptor = registry.family(name)
+        unit = "segment" if partitioned else descriptor.subject_kind
+        out(f"{name:>10}: {len(descriptor.cells_of(mapping))} {unit}(s)")
+        if descriptor.terminal_block is not None:
+            out(descriptor.terminal_block(mapping))
+        if csv_dir and descriptor.device_series is not None:
+            path = csv_dir / f"{name}.csv"
+            path.write_text(series_to_csv(descriptor.device_series(mapping)) + "\n")
+            out(f"[wrote {path}]")
+    if partitioned:
+        out(f"partitions: {runner.partitions}   sync rounds: {runner.last_sync_rounds}   "
+            f"boundary frames: {runner.last_boundary_frames}")
+    if getattr(args, "out", None):
+        skipped = f" ({runner.last_skipped_cells} cell(s) reused)" if args.resume else ""
+        out(f"store: {args.out}{skipped}")
+    if results.metrics is not None:
+        out(json.dumps(results.metrics.as_dict(), indent=2, sort_keys=True))
+    _report_errors(results, out)
+    return 0 if results.complete else 1
 
 
 def _runner_from_args(args, tags: Sequence[str]):
-    """The campaign runner a ``survey``/``report``/``bench`` invocation describes.
+    """The campaign runner a ``probe``/``survey``/``report``/``bench``/``compliance``
+    invocation describes.
 
     Every declared knob whose ``dest`` the command parsed is forwarded; the
     rest keep their declared defaults.  A ``--partitions`` run takes only
@@ -311,13 +178,13 @@ def _runner_from_args(args, tags: Sequence[str]):
     config = dict(
         profiles=catalog_profiles(tags),
         seed=args.seed,
-        jobs=args.jobs,
-        fastpath=not args.no_fastpath,
+        jobs=getattr(args, "jobs", 1),
+        fastpath=not getattr(args, "no_fastpath", False),
         impairment=impairment,
         faults=faults,
-        trace_dir=args.trace,
-        pcap_dir=args.pcap,
-        metrics=args.metrics,
+        trace_dir=getattr(args, "trace", None),
+        pcap_dir=getattr(args, "pcap", None),
+        metrics=getattr(args, "metrics", False),
         store_dir=getattr(args, "out", None),
         resume=getattr(args, "resume", False),
         **knobs,
@@ -342,32 +209,13 @@ def _run_from_args(args, tags: Sequence[str], default: List[str]):
         raise SystemExit(str(exc)) from None
 
 
-def _run_campaign(args, tags: Sequence[str], out) -> int:
-    """The durable campaign path: a survey (or ``--partitions``) runner + store/resume."""
-    if args.resume and not args.out:
-        raise SystemExit("--resume needs --out DIR (the store to resume from)")
-    runner, _selected, results = _run_from_args(args, tags, DEFAULT_SURVEY_TESTS)
-    partitioned = args.partitions is not None
-    for name, mapping in results.families.items():
-        descriptor = registry.family(name)
-        unit = "segment" if partitioned else descriptor.subject_kind
-        out(f"{name:>10}: {len(descriptor.cells_of(mapping))} {unit}(s)")
-    if partitioned:
-        out(f"partitions: {runner.partitions}   sync rounds: {runner.last_sync_rounds}   "
-            f"boundary frames: {runner.last_boundary_frames}")
-    if args.out:
-        skipped = f" ({runner.last_skipped_cells} cell(s) reused)" if args.resume else ""
-        out(f"store: {args.out}{skipped}")
-    _report_errors(results, out)
-    return 0 if results.complete else 1
-
-
 def cmd_classify(args, out) -> int:
     from repro.core.runtime import SimTask, run_tasks
+    from repro.testbed import Testbed
     from repro.traversal import StunClient, StunServer, classify
 
     tags = _resolve_tags(args.tags)
-    bed = _build_bed(tags, args.seed)
+    bed = Testbed.build(catalog_profiles(tags), seed=args.seed)
     server = StunServer(bed.server)
     for tag in tags:
         port = bed.port(tag)
@@ -422,6 +270,8 @@ def cmd_bench(args, out) -> int:
     from repro.core.store import SCHEMA_VERSION
 
     tags = _resolve_tags(args.tags)
+    if args.output and not pathlib.Path(args.output).parent.is_dir():
+        raise SystemExit(f"--output: directory {pathlib.Path(args.output).parent} does not exist")
     runner, selected, results = _run_from_args(args, tags, DEFAULT_BENCH_TESTS)
     partitioned = args.partitions is not None
     stats = results.stats
@@ -510,10 +360,11 @@ def cmd_trace(args, out) -> int:
 
 def cmd_compliance(args, out) -> int:
     tags = _resolve_tags(args.tags)
-    udp1 = UdpTimeoutProbe.udp1(repetitions=args.repetitions).run_all(_build_bed(tags, args.seed))
-    tcp1 = TcpTimeoutProbe().run_all(_build_bed(tags, args.seed))
-    icmp = IcmpTranslationTest().run_all(_build_bed(tags, args.seed))
-    reports = {tag: check_device(tag, udp1=udp1[tag], tcp1=tcp1[tag], icmp=icmp[tag]) for tag in tags}
+    _runner, _selected, results = _run_from_args(args, tags, ["udp1", "tcp1", "icmp"])
+    reports = {
+        tag: check_device(tag, udp1=results.udp1[tag], tcp1=results.tcp1[tag], icmp=results.icmp[tag])
+        for tag in tags
+    }
     for tag in tags:
         report = reports[tag]
         failures = report.failures()
@@ -571,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list-devices", help="print the Table 1 inventory").set_defaults(func=cmd_list_devices)
 
     probe = sub.add_parser("probe", help="run one measurement family")
-    probe.add_argument("--test", required=True, choices=PROBE_CHOICES)
+    probe.add_argument("--test", required=True, choices=FAMILY_CHOICES)
     probe.add_argument("--tags", nargs="*", help="device tags (default: all 34)")
     probe.add_argument("--repetitions", type=int, default=3)
     probe.add_argument("--seed", type=int, default=0)
@@ -579,11 +430,10 @@ def build_parser() -> argparse.ArgumentParser:
     probe.set_defaults(func=cmd_probe)
 
     survey = sub.add_parser("survey", help="run several families")
-    survey.add_argument("--tests", nargs="+", default=None, choices=PROBE_CHOICES,
+    survey.add_argument("--tests", nargs="+", default=None, choices=FAMILY_CHOICES,
                         help="families to run (default: udp1 tcp1 tcp4)")
     survey.add_argument("--families", metavar="F1,F2",
-                        help=f"comma-joined campaign families ({','.join(FAMILY_CHOICES)}); "
-                        "implies the durable campaign path")
+                        help=f"comma-joined campaign families ({','.join(FAMILY_CHOICES)})")
     survey.add_argument("--tags", nargs="*")
     survey.add_argument("--repetitions", type=int, default=3)
     survey.add_argument("--seed", type=int, default=0)
@@ -643,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--impair", help="link impairment, e.g. loss=0.01,reorder=5ms,dup=0.001")
     bench.add_argument("--fault", action="append",
                        help="gateway fault, e.g. crash@t=30,boot=never,device=dl8 (repeatable)")
-    bench.add_argument("--output", help="write BENCH_survey.json here")
+    bench.add_argument("--output", help="write the JSON counter dump here")
     _add_cgn_flags(bench)
     _add_obs_flags(bench)
     bench.set_defaults(func=cmd_bench)

@@ -10,10 +10,11 @@ fall behind yields the device's sustainable binding-setup rate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from ipaddress import IPv4Address
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
+from repro.core import registry
 from repro.core.results import DeviceSeries, Summary
 from repro.core.runtime import SimTask, run_tasks
 from repro.testbed.testbed import Testbed
@@ -131,3 +132,34 @@ class BindingRateProbe:
             result.steps.append(RateStep(offered_rate=rate, achieved_rate=len(seen) / window))
             # Let the burst's bindings age out of the rate bucket's horizon.
             yield SETTLE_SECONDS
+
+
+# ---------------------------------------------------------------------------
+# Registry: opt-in family descriptor and store codec.
+# ---------------------------------------------------------------------------
+
+
+def decode_binding_rate_result(payload: Dict) -> BindingRateResult:
+    """Store codec: decode what ``dataclasses.asdict`` wrote."""
+    return BindingRateResult(tag=payload["tag"], steps=[RateStep(**step) for step in payload["steps"]])
+
+
+def _binding_rate_block(mapping) -> str:
+    """Saturation rates, as ``probe``/``survey`` print them."""
+    from repro.analysis.figures import render_series
+
+    return render_series(BindingRateProbe().series(mapping), "Binding setup rate [bindings/s]")
+
+
+registry.register_family(registry.ExperimentFamily(
+    name="binding-rate",
+    order=120,
+    result_type=BindingRateResult,
+    description="binding setup rate sweep (§5 future work)",
+    probe_factory=lambda knobs: BindingRateProbe().run_all,
+    encode_cell=asdict,
+    decode_cell=decode_binding_rate_result,
+    default_selected=False,
+    terminal_block=_binding_rate_block,
+    device_series=lambda mapping: BindingRateProbe().series(mapping),
+))

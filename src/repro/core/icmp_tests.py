@@ -19,7 +19,6 @@ Graded observables, per (transport × error kind):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from ipaddress import IPv4Address
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.core import registry
@@ -407,6 +406,17 @@ def _render_table2(results) -> Optional[str]:
     ])
 
 
+def _icmp_block(mapping) -> str:
+    """Per-device translation counts, as ``probe``/``survey`` print them."""
+    return "\n".join(
+        f"{tag:>5}  udp:{len(result.forwarded_kinds('udp')):>2}/10  "
+        f"tcp:{len(result.forwarded_kinds('tcp')):>2}/10  "
+        f"embedded-rewrite:{result.translates_embedded_transport()}  "
+        f"ip-cksum:{result.fixes_embedded_ip_checksum()}"
+        for tag, result in sorted(mapping.items())
+    )
+
+
 registry.register_family(registry.ExperimentFamily(
     name="icmp",
     order=80,
@@ -415,6 +425,7 @@ registry.register_family(registry.ExperimentFamily(
     probe_factory=lambda knobs: IcmpTranslationTest().run_all,
     encode_cell=encode_icmp_result,
     decode_cell=decode_icmp_result,
+    terminal_block=_icmp_block,
 ))
 
 registry.register_section(registry.ReportSection(

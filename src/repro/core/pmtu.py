@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from ipaddress import IPv4Address, IPv4Network
 from typing import Dict, Generator, Optional, Sequence
 
+from repro.core import registry
 from repro.core.runtime import Future, SimTask, run_tasks
 from repro.netsim.link import Link
 from repro.protocols.stack import Host
@@ -125,3 +126,29 @@ class PmtuBlackholeTest:
             conn.abort()
         # Drain stragglers before the next device runs.
         yield 2.0
+
+
+# ---------------------------------------------------------------------------
+# Registry: opt-in family descriptor.
+# ---------------------------------------------------------------------------
+
+
+def _pmtu_block(mapping) -> str:
+    """Per-device transfer verdicts, as ``probe``/``survey`` print them."""
+    lines = []
+    for tag, result in sorted(mapping.items()):
+        verdict = f"ok in {result.duration:.2f}s (mss {result.mss_after})" if result.completed else "BLACK HOLE"
+        lines.append(f"{tag:>5}  {verdict}")
+    return "\n".join(lines)
+
+
+registry.register_family(registry.ExperimentFamily(
+    name="pmtu",
+    order=130,
+    result_type=PmtuResult,
+    description="PMTU black-hole transfer over a constrained path (RFC 2923)",
+    probe_factory=lambda knobs: PmtuBlackholeTest().run_all,
+    **registry.flat_codec(PmtuResult),
+    default_selected=False,
+    terminal_block=_pmtu_block,
+))

@@ -9,8 +9,9 @@ all of that with a single registry:
 * :class:`ExperimentFamily` describes one family end to end — how to build
   its probe from the campaign knobs, what result type it produces, how to
   encode/decode one device's result to/from JSON (the contract of the
-  on-disk :mod:`campaign store <repro.core.store>`), and how its results
-  merge across per-device shards.
+  on-disk :mod:`campaign store <repro.core.store>`), how its results
+  merge across per-device shards, and how ``repro probe``/``survey`` print
+  them — the CLI holds no per-family code.
 * :class:`ReportSection` is a render hook: a block of the markdown survey
   report owned by one or more families.  ``analysis/report.py`` iterates
   these instead of enumerating family attributes, so a family added here
@@ -39,7 +40,7 @@ mapping, and the CLI generates the flag under its :class:`Tier`'s
 from __future__ import annotations
 
 import importlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - types only
@@ -51,6 +52,7 @@ __all__ = [
     "ReportSection",
     "Knob",
     "Tier",
+    "flat_codec",
     "register_family",
     "register_section",
     "register_knob",
@@ -81,6 +83,9 @@ FAMILY_MODULES = (
     "repro.core.icmp_tests",
     "repro.core.transport_support",
     "repro.core.dns_tests",
+    "repro.core.options_tests",
+    "repro.core.binding_rate",
+    "repro.core.pmtu",
     "repro.cgn.families",
     "repro.attack.families",
     "repro.cgn.metro",
@@ -200,6 +205,12 @@ class ExperimentFamily:
     #: builders, lookahead, stop horizon).  ``None`` = the family only runs
     #: single-process (the per-device shard schedule still applies).
     partition_factory: Optional[Callable[[Mapping[str, Any]], Any]] = None
+    #: Canonical family mapping -> the terminal block ``repro probe``/``survey``
+    #: print under the family's cell count.  ``None`` = the count line alone.
+    terminal_block: Optional[Callable[[Mapping[str, Any]], str]] = None
+    #: Canonical family mapping -> its :class:`~repro.core.results.DeviceSeries`
+    #: (what ``survey --csv-dir`` exports).  ``None`` = no CSV for the family.
+    device_series: Optional[Callable[[Mapping[str, Any]], Any]] = None
 
     @property
     def partitionable(self) -> bool:
@@ -339,6 +350,16 @@ class Tier:
     order: int
     families: Tuple[str, ...]
     help: str
+
+
+def flat_codec(result_type: type) -> Dict[str, Callable]:
+    """``encode_cell``/``decode_cell`` for a dataclass of JSON-native fields.
+
+    The payload is the field mapping itself, so a decoded cell is equal to
+    the encoded one field for field and type for type.  Results with tuple
+    or nested dataclass fields need their own codec.
+    """
+    return {"encode_cell": asdict, "decode_cell": lambda payload: result_type(**payload)}
 
 
 _FAMILIES: Dict[str, ExperimentFamily] = {}

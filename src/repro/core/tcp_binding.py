@@ -264,24 +264,6 @@ def decode_tcp_timeout_result(payload: Dict) -> TcpTimeoutResult:
     )
 
 
-def encode_tcp_capacity_result(result: TcpBindingCapacityResult) -> Dict:
-    """Store codec: ``TcpBindingCapacityResult`` to a JSON-safe dict."""
-    return {
-        "tag": result.tag,
-        "max_bindings": result.max_bindings,
-        "hit_probe_limit": result.hit_probe_limit,
-    }
-
-
-def decode_tcp_capacity_result(payload: Dict) -> TcpBindingCapacityResult:
-    """Store codec: decode what :func:`encode_tcp_capacity_result` wrote."""
-    return TcpBindingCapacityResult(
-        tag=payload["tag"],
-        max_bindings=int(payload["max_bindings"]),
-        hit_probe_limit=bool(payload["hit_probe_limit"]),
-    )
-
-
 def _render_tcp1(results) -> Optional[str]:
     from repro import paperdata
     from repro.analysis.figures import code_block, render_series
@@ -319,6 +301,21 @@ def _render_tcp4(results) -> Optional[str]:
     ])
 
 
+def _tcp1_block(mapping) -> str:
+    """TCP-1's timeout chart, as ``probe``/``survey`` print it."""
+    from repro.analysis.figures import render_series
+
+    series = TcpTimeoutProbe().series(mapping)
+    return render_series(series, "TCP-1 binding timeouts [s]", log_scale=True, censored_label=">24h")
+
+
+def _tcp4_block(mapping) -> str:
+    """TCP-4's capacity chart, as ``probe``/``survey`` print it."""
+    from repro.analysis.figures import render_series
+
+    return render_series(TcpBindingCapacityProbe().series(mapping), "TCP-4 max bindings", log_scale=True)
+
+
 registry.register_knob(registry.Knob(
     name="tcp1_cutoff",
     type=float,
@@ -334,6 +331,8 @@ registry.register_family(registry.ExperimentFamily(
     probe_factory=lambda knobs: TcpTimeoutProbe(cutoff=knobs["tcp1_cutoff"]).run_all,
     encode_cell=encode_tcp_timeout_result,
     decode_cell=decode_tcp_timeout_result,
+    terminal_block=_tcp1_block,
+    device_series=lambda mapping: TcpTimeoutProbe().series(mapping),
 ))
 
 registry.register_family(registry.ExperimentFamily(
@@ -342,8 +341,9 @@ registry.register_family(registry.ExperimentFamily(
     result_type=TcpBindingCapacityResult,
     description="TCP-4 binding capacity (Figure 10)",
     probe_factory=lambda knobs: TcpBindingCapacityProbe().run_all,
-    encode_cell=encode_tcp_capacity_result,
-    decode_cell=decode_tcp_capacity_result,
+    **registry.flat_codec(TcpBindingCapacityResult),
+    terminal_block=_tcp4_block,
+    device_series=lambda mapping: TcpBindingCapacityProbe().series(mapping),
 ))
 
 registry.register_section(registry.ReportSection(

@@ -294,6 +294,17 @@ def _render_tcp2(results) -> Optional[str]:
     ])
 
 
+def _tcp2_block(mapping) -> str:
+    """TCP-2 download throughput and TCP-3 delay, as ``probe``/``survey`` print them."""
+    from repro.analysis.figures import render_series
+
+    probe = ThroughputProbe()
+    return "\n".join([
+        render_series(probe.throughput_series(mapping, "download"), "TCP-2 download throughput [Mb/s]"),
+        render_series(probe.delay_series(mapping, "download"), "TCP-3 download queuing delay [ms]"),
+    ])
+
+
 registry.register_knob(registry.Knob(
     name="transfer_bytes",
     type=int,
@@ -309,6 +320,8 @@ registry.register_family(registry.ExperimentFamily(
     probe_factory=lambda knobs: ThroughputProbe(transfer_bytes=knobs["transfer_bytes"]).run_all,
     encode_cell=encode_throughput_result,
     decode_cell=decode_throughput_result,
+    terminal_block=_tcp2_block,
+    device_series=lambda mapping: ThroughputProbe().throughput_series(mapping, "download"),
 ))
 
 registry.register_section(registry.ReportSection(

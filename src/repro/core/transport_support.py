@@ -198,6 +198,16 @@ def decode_transport_cell(payload: Dict) -> Dict[str, TransportSupportResult]:
     }
 
 
+def _transports_block(mapping) -> str:
+    """Per-device SCTP/DCCP verdicts, as ``probe``/``survey`` print them."""
+    lines = []
+    for tag, protocols in sorted(mapping.items()):
+        sctp, dccp = protocols["sctp"], protocols["dccp"]
+        lines.append(f"{tag:>5}  sctp:{'pass' if sctp.supported else 'fail':<4} ({sctp.wire_view})  "
+                     f"dccp:{'pass' if dccp.supported else 'fail'}")
+    return "\n".join(lines)
+
+
 registry.register_family(registry.ExperimentFamily(
     name="transports",
     order=90,
@@ -206,4 +216,5 @@ registry.register_family(registry.ExperimentFamily(
     probe_factory=lambda knobs: TransportSupportTest().run_all,
     encode_cell=encode_transport_cell,
     decode_cell=decode_transport_cell,
+    terminal_block=_transports_block,
 ))

@@ -443,24 +443,6 @@ def decode_udp_timeout_result(payload: Dict) -> UdpTimeoutResult:
     )
 
 
-def encode_port_behavior(behavior: PortBehavior) -> Dict:
-    """Store codec: ``PortBehavior`` to a JSON-safe dict."""
-    return {
-        "tag": behavior.tag,
-        "preserves_port": behavior.preserves_port,
-        "reuses_binding": behavior.reuses_binding,
-    }
-
-
-def decode_port_behavior(payload: Dict) -> PortBehavior:
-    """Store codec: decode what :func:`encode_port_behavior` wrote."""
-    return PortBehavior(
-        tag=payload["tag"],
-        preserves_port=bool(payload["preserves_port"]),
-        reuses_binding=None if payload["reuses_binding"] is None else bool(payload["reuses_binding"]),
-    )
-
-
 def _udp5_cells(mapping: Dict) -> Dict[str, Dict]:
     """Service-first canonical mapping -> per-device ``{service: result}`` cells."""
     cells: Dict[str, Dict] = {}
@@ -556,6 +538,26 @@ def _udp_probe_factory(variant: str):
     return factory
 
 
+def _udp_series(variant: str):
+    def series(mapping):
+        """One variant's timeouts as a device series."""
+        from repro.analysis.figures import timeout_series
+
+        return timeout_series(mapping, variant)
+
+    return series
+
+
+def _udp_terminal_block(variant: str):
+    def block(mapping) -> str:
+        """One variant's timeout chart, as ``probe``/``survey`` print it."""
+        from repro.analysis.figures import render_series
+
+        return render_series(_udp_series(variant)(mapping), f"{variant.upper()} binding timeouts [s]")
+
+    return block
+
+
 for _variant, _order, _figure in (("udp1", 10, "Figure 3"), ("udp2", 20, "Figure 4"), ("udp3", 30, "Figure 5")):
     registry.register_family(registry.ExperimentFamily(
         name=_variant,
@@ -565,6 +567,8 @@ for _variant, _order, _figure in (("udp1", 10, "Figure 3"), ("udp2", 20, "Figure
         probe_factory=_udp_probe_factory(_variant),
         encode_cell=encode_udp_timeout_result,
         decode_cell=decode_udp_timeout_result,
+        terminal_block=_udp_terminal_block(_variant),
+        device_series=_udp_series(_variant),
     ))
 
 registry.register_family(registry.ExperimentFamily(
@@ -572,8 +576,7 @@ registry.register_family(registry.ExperimentFamily(
     order=15,
     result_type=PortBehavior,
     description="UDP-4 port preservation / binding reuse (derived from UDP-1)",
-    encode_cell=encode_port_behavior,
-    decode_cell=decode_port_behavior,
+    **registry.flat_codec(PortBehavior),
     derived_from="udp1",
     derive=analyze_port_behavior,
 ))

@@ -87,6 +87,22 @@ def test_probe_with_flight_recorder(capsys, tmp_path):
     assert '"events.nat.bind"' in out  # --metrics prints the registry JSON
 
 
+def test_survey_families_prints_metrics(capsys):
+    code, out = run_cli(
+        capsys, "survey", "--families", "udp1", "--tags", "je", "--repetitions", "1", "--metrics",
+    )
+    assert code == 0
+    assert '"events.nat.bind"' in out
+
+
+def test_bench_output_directory_checked_before_the_campaign(monkeypatch, tmp_path):
+    import repro.cli as cli
+
+    monkeypatch.setattr(cli, "_run_from_args", lambda *args: pytest.fail("the campaign ran"))
+    with pytest.raises(SystemExit, match="does not exist"):
+        main(["bench", "--tests", "udp1", "--tags", "je", "--output", str(tmp_path / "missing" / "b.json")])
+
+
 def test_trace_summary_command(capsys, tmp_path):
     code, _ = run_cli(
         capsys, "probe", "--test", "udp1", "--tags", "je", "--repetitions", "1",

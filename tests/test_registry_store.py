@@ -60,7 +60,8 @@ class TestRegistry:
     def test_every_paper_family_registered(self):
         assert registry.runnable_names() == (
             "udp1", "udp2", "udp3", "udp5", "tcp1", "tcp2", "tcp4",
-            "icmp", "transports", "dns", "cgn_timeouts", "cgn_exhaustion",
+            "icmp", "transports", "dns", "options", "binding-rate", "pmtu",
+            "cgn_timeouts", "cgn_exhaustion",
             "metro_load", "workload_mix", "fwcost_scaling",
             "attack_portflood", "attack_keepalive", "attack_rst",
             "traversal_matrix",
@@ -102,11 +103,12 @@ class TestCellCodecs:
 
     @pytest.fixture(scope="class")
     def results(self):
-        return _make_runner().run()  # every registered family
+        # The paper's menu plus the opt-in device families it leaves out.
+        return _make_runner().run(tests=[*registry.default_names(), "options", "binding-rate", "pmtu"])
 
     @pytest.mark.parametrize("name", [
         "udp1", "udp2", "udp3", "udp4", "udp5", "tcp1", "tcp2", "tcp4",
-        "icmp", "transports", "dns",
+        "icmp", "transports", "dns", "options", "binding-rate", "pmtu",
     ])
     def test_round_trip_exact(self, results, name):
         fam = registry.family(name)
