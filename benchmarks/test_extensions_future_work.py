@@ -145,7 +145,10 @@ def test_ice_and_tcp_punch_rates(benchmark):
         direct += ice.path == "direct"
         relayed += ice.path == "relayed"
         tcp_ok += tcp.success
-        lines.append(f"  {pair[0]:>4} <-> {pair[1]:<4}  ice:{ice.path or 'FAIL':<8} tcp-punch:{'OK' if tcp.success else 'fail'}")
+        lines.append(
+            f"  {pair[0]:>4} <-> {pair[1]:<4}  ice:{ice.path or 'FAIL':<8} "
+            f"tcp-punch:{'OK' if tcp.success else 'fail'}"
+        )
     lines.append("")
     lines.append(f"ice: {direct} direct, {relayed} relayed; tcp punching: {tcp_ok}/{len(tcp_outcomes)}")
     write_artifact("ext_ice_tcp.txt", "\n".join(lines))

@@ -14,7 +14,10 @@ def test_fig4_udp2(survey):
     series = timeout_series(survey.udp2, "UDP-2")
     stats = series.population()
     text = render_series(series, "Figure 4: UDP-2 single packet out, stream in [s]")
-    text += f"\npaper: median={paperdata.FIG4_POP_MEDIAN} mean={paperdata.FIG4_POP_MEAN} min={paperdata.UDP2_MINIMUM_SECONDS}"
+    text += (
+        f"\npaper: median={paperdata.FIG4_POP_MEDIAN} mean={paperdata.FIG4_POP_MEAN} "
+        f"min={paperdata.UDP2_MINIMUM_SECONDS}"
+    )
     write_artifact("fig4_udp2.txt", text)
 
     assert stats["median"] == pytest.approx(paperdata.FIG4_POP_MEDIAN, rel=0.05)

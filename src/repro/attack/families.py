@@ -174,7 +174,9 @@ class AttackPortfloodProbe:
             for tag in tags
         }
         tasks = [
-            SimTask(bed.sim, self._segment_task(bed, tag, responder, daemon, results[tag]), name=f"attack_portflood:{tag}")
+            SimTask(
+                bed.sim, self._segment_task(bed, tag, responder, daemon, results[tag]), name=f"attack_portflood:{tag}"
+            )
             for tag in tags
         ]
         run_tasks(bed.sim, tasks)
@@ -408,7 +410,9 @@ class AttackKeepaliveProbe:
                 natural_timeout=min(device_timeout, bed.cgn_policy.udp_timeout),
             )
         tasks = [
-            SimTask(bed.sim, self._segment_task(bed, tag, responder, daemon, results[tag]), name=f"attack_keepalive:{tag}")
+            SimTask(
+                bed.sim, self._segment_task(bed, tag, responder, daemon, results[tag]), name=f"attack_keepalive:{tag}"
+            )
             for tag in tags
         ]
         run_tasks(bed.sim, tasks)
@@ -673,7 +677,7 @@ class AttackRstProbe:
 
 
 # ---------------------------------------------------------------------------
-# Registry: codecs, descriptors, report section.
+# Registry: descriptors, report section.
 # ---------------------------------------------------------------------------
 
 
@@ -700,122 +704,6 @@ registry.register_knob(registry.Knob(
     flag="--attack-duration",
     tier="attack",
 ))
-
-
-def encode_portflood_result(result: AttackPortfloodResult) -> Dict:
-    return {
-        "tag": result.tag,
-        "subscribers": result.subscribers,
-        "attack_rate": result.attack_rate,
-        "attack_duration": result.attack_duration,
-        "pool_ports": result.pool_ports,
-        "attack_packets": result.attack_packets,
-        "home_onset": result.home_onset,
-        "home_cause": result.home_cause,
-        "cgn_onset": result.cgn_onset,
-        "home_refused": result.home_refused,
-        "cgn_refused_udp": result.cgn_refused_udp,
-        "cgn_refused_tcp": result.cgn_refused_tcp,
-        "innocent_flows": list(result.innocent_flows),
-        "innocent_refused": list(result.innocent_refused),
-        "fairness": result.fairness,
-        "victim_survival": result.victim_survival,
-    }
-
-
-def decode_portflood_result(payload: Dict) -> AttackPortfloodResult:
-    return AttackPortfloodResult(
-        tag=payload["tag"],
-        subscribers=int(payload["subscribers"]),
-        attack_rate=float(payload["attack_rate"]),
-        attack_duration=float(payload["attack_duration"]),
-        pool_ports=int(payload["pool_ports"]),
-        attack_packets=int(payload["attack_packets"]),
-        home_onset=None if payload["home_onset"] is None else float(payload["home_onset"]),
-        home_cause=payload["home_cause"],
-        cgn_onset=None if payload["cgn_onset"] is None else float(payload["cgn_onset"]),
-        home_refused=int(payload["home_refused"]),
-        cgn_refused_udp=int(payload["cgn_refused_udp"]),
-        cgn_refused_tcp=int(payload["cgn_refused_tcp"]),
-        innocent_flows=[int(v) for v in payload["innocent_flows"]],
-        innocent_refused=[int(v) for v in payload["innocent_refused"]],
-        fairness=float(payload["fairness"]),
-        victim_survival=float(payload["victim_survival"]),
-    )
-
-
-def encode_keepalive_result(result: AttackKeepaliveResult) -> Dict:
-    return {
-        "tag": result.tag,
-        "subscribers": result.subscribers,
-        "filtering": result.filtering,
-        "natural_timeout": result.natural_timeout,
-        "scans": result.scans,
-        "spoofed_packets": result.spoofed_packets,
-        "refreshed": result.refreshed,
-        "refreshed_total": result.refreshed_total,
-        "evicted": result.evicted,
-        "evicted_total": result.evicted_total,
-        "home_filtered": result.home_filtered,
-        "onset": result.onset,
-        "fairness": result.fairness,
-        "victim_survival": result.victim_survival,
-    }
-
-
-def decode_keepalive_result(payload: Dict) -> AttackKeepaliveResult:
-    return AttackKeepaliveResult(
-        tag=payload["tag"],
-        subscribers=int(payload["subscribers"]),
-        filtering=payload["filtering"],
-        natural_timeout=float(payload["natural_timeout"]),
-        scans=int(payload["scans"]),
-        spoofed_packets=int(payload["spoofed_packets"]),
-        refreshed=int(payload["refreshed"]),
-        refreshed_total=int(payload["refreshed_total"]),
-        evicted=int(payload["evicted"]),
-        evicted_total=int(payload["evicted_total"]),
-        home_filtered=int(payload["home_filtered"]),
-        onset=None if payload["onset"] is None else float(payload["onset"]),
-        fairness=float(payload["fairness"]),
-        victim_survival=float(payload["victim_survival"]),
-    )
-
-
-def encode_rst_result(result: AttackRstResult) -> Dict:
-    return {
-        "tag": result.tag,
-        "subscribers": result.subscribers,
-        "filtering": result.filtering,
-        "victims": result.victims,
-        "spoofed_rsts": result.spoofed_rsts,
-        "cgn_torn": result.cgn_torn,
-        "home_torn": result.home_torn,
-        "home_filtered": result.home_filtered,
-        "victims_reset": result.victims_reset,
-        "onset": result.onset,
-        "survived": result.survived,
-        "fairness": result.fairness,
-        "victim_survival": result.victim_survival,
-    }
-
-
-def decode_rst_result(payload: Dict) -> AttackRstResult:
-    return AttackRstResult(
-        tag=payload["tag"],
-        subscribers=int(payload["subscribers"]),
-        filtering=payload["filtering"],
-        victims=int(payload["victims"]),
-        spoofed_rsts=int(payload["spoofed_rsts"]),
-        cgn_torn=int(payload["cgn_torn"]),
-        home_torn=int(payload["home_torn"]),
-        home_filtered=int(payload["home_filtered"]),
-        victims_reset=int(payload["victims_reset"]),
-        onset=None if payload["onset"] is None else float(payload["onset"]),
-        survived=int(payload["survived"]),
-        fairness=float(payload["fairness"]),
-        victim_survival=float(payload["victim_survival"]),
-    )
 
 
 def _onset_text(onset: Optional[float]) -> str:
@@ -903,8 +791,6 @@ registry.register_family(registry.ExperimentFamily(
         rate=knobs["attack_rate"],
         duration=knobs["attack_duration"],
     ).run_all,
-    encode_cell=encode_portflood_result,
-    decode_cell=decode_portflood_result,
     testbed_factory=nat444_factory,
     default_selected=False,
 ))
@@ -915,8 +801,6 @@ registry.register_family(registry.ExperimentFamily(
     result_type=AttackKeepaliveResult,
     description="Spoofed inbound keepalives refreshing/evicting victim bindings",
     probe_factory=lambda knobs: AttackKeepaliveProbe().run_all,
-    encode_cell=encode_keepalive_result,
-    decode_cell=decode_keepalive_result,
     testbed_factory=nat444_factory,
     default_selected=False,
 ))
@@ -927,8 +811,6 @@ registry.register_family(registry.ExperimentFamily(
     result_type=AttackRstResult,
     description="Off-path RST binding teardown through the NAT444 chain",
     probe_factory=lambda knobs: AttackRstProbe(rate=knobs["attack_rate"]).run_all,
-    encode_cell=encode_rst_result,
-    decode_cell=decode_rst_result,
     testbed_factory=nat444_factory,
     default_selected=False,
 ))

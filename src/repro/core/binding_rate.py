@@ -10,7 +10,7 @@ fall behind yields the device's sustainable binding-setup rate.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from ipaddress import IPv4Address
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
@@ -135,13 +135,8 @@ class BindingRateProbe:
 
 
 # ---------------------------------------------------------------------------
-# Registry: opt-in family descriptor and store codec.
+# Registry: opt-in family descriptor.
 # ---------------------------------------------------------------------------
-
-
-def decode_binding_rate_result(payload: Dict) -> BindingRateResult:
-    """Store codec: decode what ``dataclasses.asdict`` wrote."""
-    return BindingRateResult(tag=payload["tag"], steps=[RateStep(**step) for step in payload["steps"]])
 
 
 def _binding_rate_block(mapping) -> str:
@@ -157,8 +152,6 @@ registry.register_family(registry.ExperimentFamily(
     result_type=BindingRateResult,
     description="binding setup rate sweep (§5 future work)",
     probe_factory=lambda knobs: BindingRateProbe().run_all,
-    encode_cell=asdict,
-    decode_cell=decode_binding_rate_result,
     default_selected=False,
     terminal_block=_binding_rate_block,
     device_series=lambda mapping: BindingRateProbe().series(mapping),

@@ -142,6 +142,5 @@ registry.register_family(registry.ExperimentFamily(
     result_type=DnsProxyResult,
     description="DNS proxy behaviour over UDP/TCP (Table 2)",
     probe_factory=lambda knobs: DnsProxyTest().run_all,
-    **registry.flat_codec(DnsProxyResult),
     terminal_block=_dns_block,
 ))

@@ -144,7 +144,6 @@ registry.register_family(registry.ExperimentFamily(
     result_type=OptionsResult,
     description="IP Record Route and TCP SYN option handling (§5 future work)",
     probe_factory=lambda knobs: OptionsTest().run_all,
-    **registry.flat_codec(OptionsResult),
     default_selected=False,
     terminal_block=_options_block,
 ))

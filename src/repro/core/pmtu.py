@@ -148,7 +148,6 @@ registry.register_family(registry.ExperimentFamily(
     result_type=PmtuResult,
     description="PMTU black-hole transfer over a constrained path (RFC 2923)",
     probe_factory=lambda knobs: PmtuBlackholeTest().run_all,
-    **registry.flat_codec(PmtuResult),
     default_selected=False,
     terminal_block=_pmtu_block,
 ))

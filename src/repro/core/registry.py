@@ -7,11 +7,11 @@ the CLI's choice lists, and every analysis module.  This module replaces
 all of that with a single registry:
 
 * :class:`ExperimentFamily` describes one family end to end — how to build
-  its probe from the campaign knobs, what result type it produces, how to
-  encode/decode one device's result to/from JSON (the contract of the
-  on-disk :mod:`campaign store <repro.core.store>`), how its results
-  merge across per-device shards, and how ``repro probe``/``survey`` print
-  them — the CLI holds no per-family code.
+  its probe from the campaign knobs, the type of one stored cell (from
+  which the JSON codec of the on-disk :mod:`campaign store
+  <repro.core.store>` is derived), how its results merge across
+  per-device shards, and how ``repro probe``/``survey`` print them — the
+  CLI holds no per-family code.
 * :class:`ReportSection` is a render hook: a block of the markdown survey
   report owned by one or more families.  ``analysis/report.py`` iterates
   these instead of enumerating family attributes, so a family added here
@@ -40,8 +40,10 @@ mapping, and the CLI generates the flag under its :class:`Tier`'s
 from __future__ import annotations
 
 import importlib
-from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass
+from functools import cached_property
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.devices.profile import DeviceProfile
@@ -52,7 +54,6 @@ __all__ = [
     "ReportSection",
     "Knob",
     "Tier",
-    "flat_codec",
     "register_family",
     "register_section",
     "register_knob",
@@ -74,7 +75,7 @@ __all__ = [
 
 #: Modules that register experiment families as an import side effect.
 #: Adding a new family module here is the *only* central edit a new
-#: experiment needs; everything else (survey dispatch, store codecs,
+#: experiment needs; everything else (survey dispatch, store codec,
 #: report sections, CLI choices) follows from its registrations.
 FAMILY_MODULES = (
     "repro.core.udp_timeouts",
@@ -153,19 +154,17 @@ class ExperimentFamily:
     name: str
     #: Execution and report position (ascending).
     order: int
-    #: The per-device result type (used by round-trip tests and docs).
-    result_type: type
+    #: The type of one stored cell: a result dataclass, or the mapping a
+    #: cell holds (``Dict[str, UdpTimeoutResult]`` for UDP-5's per-service
+    #: cells).  The store codec is derived from it when the family
+    #: registers; an annotation the codec cannot map fails registration.
+    result_type: Any
     #: One-line description for CLI help and error messages.
     description: str = ""
     #: ``knobs -> run_all(bed)`` — builds the probe from the campaign's
     #: knob mapping and returns its population entry point.  ``None`` for
     #: derived families.
     probe_factory: Optional[Callable[[Mapping[str, Any]], Callable]] = None
-    #: One device cell -> JSON-compatible payload.
-    encode_cell: Optional[Callable[[Any], Any]] = None
-    #: JSON payload -> one device cell, field-for-field equal to the
-    #: original (tuples restored, floats exact).
-    decode_cell: Optional[Callable[[Any], Any]] = None
     #: Canonical family mapping -> ``{device_tag: cell}`` (default: identity).
     cells: Optional[Callable[[Mapping[str, Any]], Dict[str, Any]]] = None
     #: Insert one device cell into a canonical mapping (default: ``m[tag]=c``).
@@ -256,16 +255,17 @@ class ExperimentFamily:
             target.update(mapping)
 
     def encode(self, cell: Any) -> Any:
-        """Encode one result cell for the store (raises without a codec)."""
-        if self.encode_cell is None:
-            raise TypeError(f"family {self.name!r} has no cell encoder")
-        return self.encode_cell(cell)
+        """One result cell as the JSON payload the store persists."""
+        return _encode(cell)
 
     def decode(self, payload: Any) -> Any:
-        """Decode one stored cell payload (raises without a codec)."""
-        if self.decode_cell is None:
-            raise TypeError(f"family {self.name!r} has no cell decoder")
-        return self.decode_cell(payload)
+        """One stored payload as a cell equal to the encoded one, type for type."""
+        decoder = self._decoder
+        return payload if decoder is None else decoder(payload)
+
+    @cached_property
+    def _decoder(self) -> Optional[Callable[[Any], Any]]:
+        return _cell_decoder(self.result_type, f"family {self.name!r}")
 
 
 @dataclass(frozen=True)
@@ -352,14 +352,81 @@ class Tier:
     help: str
 
 
-def flat_codec(result_type: type) -> Dict[str, Callable]:
-    """``encode_cell``/``decode_cell`` for a dataclass of JSON-native fields.
+#: JSON scalars: stored as-is and decoded by passing them through.
+_SCALARS = (str, int, float, bool, type(None))
+#: Init-field names per dataclass, cached by the encoder.
+_INIT_FIELDS: Dict[type, Tuple[str, ...]] = {}
 
-    The payload is the field mapping itself, so a decoded cell is equal to
-    the encoded one field for field and type for type.  Results with tuple
-    or nested dataclass fields need their own codec.
+
+def _encode(value: Any) -> Any:
+    """A cell as JSON data: dataclasses by init field, sequences as lists."""
+    cls = type(value)
+    if cls in _SCALARS:
+        return value
+    if isinstance(value, dict):
+        return {key: _encode(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_encode(item) for item in value]
+    names = _INIT_FIELDS.get(cls)
+    if names is None:
+        if not is_dataclass(cls):
+            return value
+        names = _INIT_FIELDS[cls] = tuple(f.name for f in fields(cls) if f.init)
+    return {name: _encode(getattr(value, name)) for name in names}
+
+
+def _cell_decoder(tp: Any, where: str) -> Optional[Callable[[Any], Any]]:
+    """The store decoder for annotation ``tp``: JSON payload -> value.
+
+    Only nested dataclasses and tuples need rebuilding; JSON scalars, and
+    lists and ``str``-keyed dicts of them, pass through unchanged, so a
+    decoded cell equals the live one field for field and type for type.
+    Returns ``None`` when the payload already *is* the value.  Raises
+    ``TypeError`` naming ``where`` for an annotation JSON cannot carry
+    back (sets, non-``str`` dict keys, arbitrary classes).
     """
-    return {"encode_cell": asdict, "decode_cell": lambda payload: result_type(**payload)}
+    if tp in _SCALARS:
+        return None
+    if isinstance(tp, type) and is_dataclass(tp):
+        hints = typing.get_type_hints(tp)
+        plan = [
+            (f.name, _cell_decoder(hints[f.name], f"{where}: field {tp.__name__}.{f.name}"))
+            for f in fields(tp) if f.init
+        ]
+        plain = tuple(name for name, decoder in plan if decoder is None)
+        nested = tuple((name, decoder) for name, decoder in plan if decoder is not None)
+
+        def from_payload(payload):
+            kwargs = {name: payload[name] for name in plain}
+            for name, decoder in nested:
+                kwargs[name] = decoder(payload[name])
+            return tp(**kwargs)
+
+        return from_payload
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is Union and len(args) == 2 and type(None) in args:
+        decoder = _cell_decoder(args[0] if args[1] is type(None) else args[1], where)
+        if decoder is None:
+            return None
+        return lambda payload: None if payload is None else decoder(payload)
+    if origin is list and len(args) == 1:
+        item = _cell_decoder(args[0], where)
+        if item is None:
+            return None
+        return lambda payload: [item(value) for value in payload]
+    if origin is tuple:
+        items = [_cell_decoder(arg, where) for arg in args]
+        if all(item is None for item in items):
+            return tuple
+        return lambda payload: tuple(
+            value if item is None else item(value) for item, value in zip(items, payload)
+        )
+    if origin is dict and len(args) == 2 and args[0] is str:
+        value_decoder = _cell_decoder(args[1], where)
+        if value_decoder is None:
+            return None
+        return lambda payload: {key: value_decoder(value) for key, value in payload.items()}
+    raise TypeError(f"{where}: the store codec cannot map annotation {tp!r}")
 
 
 _FAMILIES: Dict[str, ExperimentFamily] = {}
@@ -370,11 +437,16 @@ _LOADED = False
 
 
 def register_family(descriptor: ExperimentFamily) -> ExperimentFamily:
-    """Register one family descriptor (import-time side effect)."""
+    """Register one family descriptor (import-time side effect).
+
+    Builds the family's store decoder here, once, so a result type the
+    codec cannot map fails at import rather than at a mid-campaign write.
+    """
     if descriptor.name in _FAMILIES:
         raise ValueError(f"experiment family {descriptor.name!r} already registered")
     if descriptor.derived_from is not None and descriptor.derive is None:
         raise ValueError(f"derived family {descriptor.name!r} needs a derive hook")
+    descriptor._decoder  # noqa: B018 - builds and caches the codec
     _FAMILIES[descriptor.name] = descriptor
     return descriptor
 

@@ -34,10 +34,10 @@ Determinism contract: cells are written atomically (temp file + rename)
 with canonical JSON (sorted keys, fixed indent, no timestamps), and a
 cell's bytes are a pure function of the campaign config — so a campaign
 interrupted at any point and resumed produces a store *byte-identical* to
-an uninterrupted run, under any ``jobs=N``.  Family codecs come from the
-:mod:`experiment registry <repro.core.registry>` and are round-trip exact
-(tuples restored, floats preserved), extending the ``jobs=N ≡ jobs=1``
-contract across process restarts.
+an uninterrupted run, under any ``jobs=N``.  The cell codec is derived by
+the :mod:`experiment registry <repro.core.registry>` from each family's
+result type and is round-trip exact (tuples restored, scalars unchanged),
+extending the ``jobs=N ≡ jobs=1`` contract across process restarts.
 """
 
 from __future__ import annotations

@@ -240,28 +240,8 @@ class TcpBindingCapacityProbe:
 
 
 # ---------------------------------------------------------------------------
-# Registry: family descriptors, store codecs, report hooks.
+# Registry: family descriptors, report hooks.
 # ---------------------------------------------------------------------------
-
-
-def encode_tcp_timeout_result(result: TcpTimeoutResult) -> Dict:
-    """Store codec: ``TcpTimeoutResult`` to a JSON-safe dict."""
-    return {
-        "tag": result.tag,
-        "samples": list(result.samples),
-        "censored": result.censored,
-        "cutoff": result.cutoff,
-    }
-
-
-def decode_tcp_timeout_result(payload: Dict) -> TcpTimeoutResult:
-    """Store codec: decode what :func:`encode_tcp_timeout_result` wrote."""
-    return TcpTimeoutResult(
-        tag=payload["tag"],
-        samples=[float(v) for v in payload["samples"]],
-        censored=int(payload["censored"]),
-        cutoff=float(payload["cutoff"]),
-    )
 
 
 def _render_tcp1(results) -> Optional[str]:
@@ -329,8 +309,6 @@ registry.register_family(registry.ExperimentFamily(
     result_type=TcpTimeoutResult,
     description="TCP-1 idle binding timeout (Figure 7)",
     probe_factory=lambda knobs: TcpTimeoutProbe(cutoff=knobs["tcp1_cutoff"]).run_all,
-    encode_cell=encode_tcp_timeout_result,
-    decode_cell=decode_tcp_timeout_result,
     terminal_block=_tcp1_block,
     device_series=lambda mapping: TcpTimeoutProbe().series(mapping),
 ))
@@ -341,7 +319,6 @@ registry.register_family(registry.ExperimentFamily(
     result_type=TcpBindingCapacityResult,
     description="TCP-4 binding capacity (Figure 10)",
     probe_factory=lambda knobs: TcpBindingCapacityProbe().run_all,
-    **registry.flat_codec(TcpBindingCapacityResult),
     terminal_block=_tcp4_block,
     device_series=lambda mapping: TcpBindingCapacityProbe().series(mapping),
 ))

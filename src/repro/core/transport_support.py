@@ -55,7 +55,9 @@ class TransportSupportTest:
                 raise ValueError(f"unknown protocol {protocol!r}")
         self.protocols = list(protocols)
 
-    def run_all(self, bed: Testbed, tags: Optional[Sequence[str]] = None) -> Dict[str, Dict[str, TransportSupportResult]]:
+    def run_all(
+        self, bed: Testbed, tags: Optional[Sequence[str]] = None
+    ) -> Dict[str, Dict[str, TransportSupportResult]]:
         """Returns ``{tag: {"sctp": result, "dccp": result}}``."""
         tags = list(tags if tags is not None else bed.tags())
         echo_payload = b"transport-probe"
@@ -165,37 +167,9 @@ class TransportSupportTest:
 
 
 # ---------------------------------------------------------------------------
-# Registry: family descriptor and store codec.  The per-device cell is the
+# Registry: family descriptor.  The per-device cell is the
 # ``{"sctp": result, "dccp": result}`` mapping the probe produces.
 # ---------------------------------------------------------------------------
-
-
-def encode_transport_cell(cell: Dict[str, TransportSupportResult]) -> Dict:
-    """Store codec: per-protocol transport results to a JSON-safe dict."""
-    return {
-        protocol: {
-            "tag": result.tag,
-            "protocol": result.protocol,
-            "connected": result.connected,
-            "data_passed": result.data_passed,
-            "wire_view": result.wire_view,
-        }
-        for protocol, result in cell.items()
-    }
-
-
-def decode_transport_cell(payload: Dict) -> Dict[str, TransportSupportResult]:
-    """Store codec: decode what :func:`encode_transport_cell` wrote."""
-    return {
-        protocol: TransportSupportResult(
-            tag=data["tag"],
-            protocol=data["protocol"],
-            connected=bool(data["connected"]),
-            data_passed=bool(data["data_passed"]),
-            wire_view=data["wire_view"],
-        )
-        for protocol, data in payload.items()
-    }
 
 
 def _transports_block(mapping) -> str:
@@ -211,10 +185,8 @@ def _transports_block(mapping) -> str:
 registry.register_family(registry.ExperimentFamily(
     name="transports",
     order=90,
-    result_type=TransportSupportResult,
+    result_type=Dict[str, TransportSupportResult],
     description="SCTP/DCCP transport support (Table 2)",
     probe_factory=lambda knobs: TransportSupportTest().run_all,
-    encode_cell=encode_transport_cell,
-    decode_cell=decode_transport_cell,
     terminal_block=_transports_block,
 ))

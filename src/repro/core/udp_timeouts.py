@@ -200,7 +200,11 @@ class UdpTimeoutProbe:
         server_daemon.register("respond", responder.respond)
         results = {tag: UdpTimeoutResult(tag, self.variant) for tag in tags}
         tasks = [
-            SimTask(bed.sim, self._device_task(bed, tag, responder, server_daemon, results[tag]), name=f"{self.variant}:{tag}")
+            SimTask(
+                bed.sim,
+                self._device_task(bed, tag, responder, server_daemon, results[tag]),
+                name=f"{self.variant}:{tag}",
+            )
             for tag in tags
         ]
         run_tasks(bed.sim, tasks)
@@ -415,32 +419,8 @@ def analyze_port_behavior(result: UdpTimeoutResult) -> PortBehavior:
 
 
 # ---------------------------------------------------------------------------
-# Registry: family descriptors, store codecs, report hooks.
+# Registry: family descriptors, report hooks.
 # ---------------------------------------------------------------------------
-
-
-def encode_udp_timeout_result(result: UdpTimeoutResult) -> Dict:
-    """Store codec: ``UdpTimeoutResult`` to a JSON-safe dict."""
-    return {
-        "tag": result.tag,
-        "variant": result.variant,
-        "samples": list(result.samples),
-        "censored": result.censored,
-        "observed_ports": [[iteration, port] for iteration, port in result.observed_ports],
-        "client_port": result.client_port,
-    }
-
-
-def decode_udp_timeout_result(payload: Dict) -> UdpTimeoutResult:
-    """Store codec: decode what :func:`encode_udp_timeout_result` wrote."""
-    return UdpTimeoutResult(
-        tag=payload["tag"],
-        variant=payload["variant"],
-        samples=[float(v) for v in payload["samples"]],
-        censored=int(payload["censored"]),
-        observed_ports=[(int(i), int(p)) for i, p in payload["observed_ports"]],
-        client_port=int(payload["client_port"]),
-    )
 
 
 def _udp5_cells(mapping: Dict) -> Dict[str, Dict]:
@@ -565,8 +545,6 @@ for _variant, _order, _figure in (("udp1", 10, "Figure 3"), ("udp2", 20, "Figure
         result_type=UdpTimeoutResult,
         description=f"UDP-{_variant[-1]} binding timeout ({_figure})",
         probe_factory=_udp_probe_factory(_variant),
-        encode_cell=encode_udp_timeout_result,
-        decode_cell=decode_udp_timeout_result,
         terminal_block=_udp_terminal_block(_variant),
         device_series=_udp_series(_variant),
     ))
@@ -576,7 +554,6 @@ registry.register_family(registry.ExperimentFamily(
     order=15,
     result_type=PortBehavior,
     description="UDP-4 port preservation / binding reuse (derived from UDP-1)",
-    **registry.flat_codec(PortBehavior),
     derived_from="udp1",
     derive=analyze_port_behavior,
 ))
@@ -584,11 +561,9 @@ registry.register_family(registry.ExperimentFamily(
 registry.register_family(registry.ExperimentFamily(
     name="udp5",
     order=40,
-    result_type=UdpTimeoutResult,
+    result_type=Dict[str, UdpTimeoutResult],
     description="UDP-5 per-service binding timeouts (Figure 6)",
     probe_factory=lambda knobs: UdpServiceProbe(repetitions=knobs["udp5_repetitions"]).run_all,
-    encode_cell=lambda cell: {service: encode_udp_timeout_result(r) for service, r in cell.items()},
-    decode_cell=lambda payload: {service: decode_udp_timeout_result(r) for service, r in payload.items()},
     cells=_udp5_cells,
     insert_cell=_udp5_insert,
     merge_cells=_udp5_merge,

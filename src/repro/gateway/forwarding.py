@@ -180,7 +180,9 @@ class ForwardingEngine:
         self._pump(lane)
         return True
 
-    def _forward_eager(self, direction: str, lane: str, item: Any, size_bytes: int, deliver: Callable[[Any], None]) -> bool:
+    def _forward_eager(
+        self, direction: str, lane: str, item: Any, size_bytes: int, deliver: Callable[[Any], None]
+    ) -> bool:
         """Admit one packet through the analytic service kernel.
 
         Evaluates the staged engine's pump/dispatch float arithmetic at

@@ -42,7 +42,10 @@ ESTABLISHED = "ESTABLISHED"
 
 def _encode_init(tag: int, tsn: int) -> bytes:
     # initiate tag, a_rwnd, out streams, in streams, initial TSN
-    return tag.to_bytes(4, "big") + (65536).to_bytes(4, "big") + (1).to_bytes(2, "big") + (1).to_bytes(2, "big") + tsn.to_bytes(4, "big")
+    return (
+        tag.to_bytes(4, "big") + (65536).to_bytes(4, "big") + (1).to_bytes(2, "big") + (1).to_bytes(2, "big")
+        + tsn.to_bytes(4, "big")
+    )
 
 
 def _decode_init(value: bytes) -> Tuple[int, int]:

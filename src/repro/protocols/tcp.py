@@ -308,7 +308,9 @@ class TcpConnection:
     def abort(self) -> None:
         """Hard close: emit a RST and drop all state."""
         if self.state not in (CLOSED, TIME_WAIT):
-            self._emit(TcpSegment(self.local_port, self.remote_port, seq=self.snd_nxt, flags=TCP_RST | TCP_ACK, ack=self.rcv_nxt))
+            self._emit(TcpSegment(
+                self.local_port, self.remote_port, seq=self.snd_nxt, flags=TCP_RST | TCP_ACK, ack=self.rcv_nxt
+            ))
         self._teardown("aborted")
 
     def enable_keepalive(self, interval: float) -> None:
@@ -898,7 +900,12 @@ class TcpManager:
 
     # -- sockets --------------------------------------------------------------
 
-    def listen(self, port: int, on_accept: Optional[Callable[[TcpConnection], None]] = None, iface_index: Optional[int] = None) -> TcpListener:
+    def listen(
+        self,
+        port: int,
+        on_accept: Optional[Callable[[TcpConnection], None]] = None,
+        iface_index: Optional[int] = None,
+    ) -> TcpListener:
         if port in self.listeners:
             raise OSError(f"TCP port {port} already listening on {self.host.name}")
         listener = TcpListener(self, port, iface_index)

@@ -33,7 +33,7 @@ belongs to its own campaign (CLI ``--matrix``), not the paper's menu.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from ipaddress import IPv4Address, IPv4Network
 from typing import Dict, Generator, List, Mapping, Optional, Sequence, Tuple
 
@@ -618,7 +618,7 @@ class PairProbe:
 
 
 # ---------------------------------------------------------------------------
-# Registry: testbed factory, codecs, descriptor, report section.
+# Registry: testbed factory, descriptor, report section.
 # ---------------------------------------------------------------------------
 
 
@@ -630,44 +630,6 @@ def pair_factory(knobs: Mapping):
         return PairTopology.build(subject, seed=seed, cgn_policy=policy)
 
     return build
-
-
-def encode_traversal_cell(cell: TraversalCell) -> Dict:
-    return {
-        "pair": cell.pair,
-        "tag_a": cell.tag_a,
-        "tag_b": cell.tag_b,
-        "cgn_a": cell.cgn_a,
-        "cgn_b": cell.cgn_b,
-        "nat_a": cell.nat_a,
-        "nat_b": cell.nat_b,
-        "punched": cell.punched,
-        "relayed": cell.relayed,
-        "connected": cell.connected,
-        "path": cell.path,
-        "keepalive_interval": cell.keepalive_interval,
-        "keepalive_censored": cell.keepalive_censored,
-    }
-
-
-def decode_traversal_cell(payload: Dict) -> TraversalCell:
-    return TraversalCell(
-        pair=payload["pair"],
-        tag_a=payload["tag_a"],
-        tag_b=payload["tag_b"],
-        cgn_a=bool(payload["cgn_a"]),
-        cgn_b=bool(payload["cgn_b"]),
-        nat_a=payload["nat_a"],
-        nat_b=payload["nat_b"],
-        punched=bool(payload["punched"]),
-        relayed=bool(payload["relayed"]),
-        connected=bool(payload["connected"]),
-        path=payload["path"],
-        keepalive_interval=(
-            None if payload["keepalive_interval"] is None else float(payload["keepalive_interval"])
-        ),
-        keepalive_censored=bool(payload["keepalive_censored"]),
-    )
 
 
 _VARIANT_TITLES = {
@@ -753,8 +715,6 @@ registry.register_family(registry.ExperimentFamily(
     result_type=TraversalCell,
     description="pairwise STUN/hole-punch/relay success and keepalive-cost matrix",
     probe_factory=lambda knobs: PairProbe().run_all,
-    encode_cell=encode_traversal_cell,
-    decode_cell=decode_traversal_cell,
     testbed_factory=pair_factory,
     default_selected=False,
     subject_kind="pair",

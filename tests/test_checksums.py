@@ -97,7 +97,9 @@ def test_incremental_update_equals_full_recompute_udp(payload, src, dst, src_por
     new_dst=ip_addresses, new_dst_port=ports,
     seq=st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_incremental_update_equals_full_recompute_tcp(payload, src, dst, src_port, dst_port, new_dst, new_dst_port, seq):
+def test_incremental_update_equals_full_recompute_tcp(
+    payload, src, dst, src_port, dst_port, new_dst, new_dst_port, seq
+):
     """DNAT address+port rewrite on TCP: incremental ≡ full recompute."""
     from repro.packets.tcp import TCP_ACK, TcpSegment
 

@@ -131,10 +131,8 @@ def probe_knob(request):
     registry.register_family(registry.ExperimentFamily(
         name="knob_probe",
         order=9999,
-        result_type=dict,
+        result_type=int,
         probe_factory=lambda knobs: lambda bed: {tag: knobs["probe_level"] for tag in bed.ports},
-        encode_cell=lambda cell: cell,
-        decode_cell=lambda payload: payload,
         default_selected=False,
     ))
     try:

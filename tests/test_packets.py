@@ -202,7 +202,9 @@ class TestIPv4:
 
 class TestSctp:
     def test_roundtrip(self):
-        packet = SctpPacket(100, 200, 0xDEADBEEF, [SctpChunk(SCTP_INIT, b"params"), SctpChunk(SCTP_DATA, b"data!", flags=3)])
+        packet = SctpPacket(
+            100, 200, 0xDEADBEEF, [SctpChunk(SCTP_INIT, b"params"), SctpChunk(SCTP_DATA, b"data!", flags=3)]
+        )
         packet.fill_checksum()
         parsed = SctpPacket.from_bytes(packet.to_bytes())
         assert parsed.verification_tag == 0xDEADBEEF

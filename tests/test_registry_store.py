@@ -9,6 +9,8 @@ the zero-resimulation guarantee of ``repro report --from``.
 
 import json
 import pathlib
+from dataclasses import dataclass
+from typing import FrozenSet
 
 import pytest
 
@@ -103,23 +105,41 @@ class TestCellCodecs:
 
     @pytest.fixture(scope="class")
     def results(self):
-        # The paper's menu plus the opt-in device families it leaves out.
-        return _make_runner().run(tests=[*registry.default_names(), "options", "binding-rate", "pmtu"])
+        # Every runnable family, the opt-in tiers at small knobs.
+        return _make_runner(
+            cgn_subscribers=4, attack_duration=5, metro_requests=4,
+            matrix_pairs="quick+slow,slow+quick",
+        ).run(tests=list(registry.runnable_names()))
 
-    @pytest.mark.parametrize("name", [
-        "udp1", "udp2", "udp3", "udp4", "udp5", "tcp1", "tcp2", "tcp4",
-        "icmp", "transports", "dns", "options", "binding-rate", "pmtu",
-    ])
+    @pytest.mark.parametrize("name", registry.family_names())
     def test_round_trip_exact(self, results, name):
         fam = registry.family(name)
         cells = fam.cells_of(results.family(name))
         assert cells, f"no cells for {name}"
         for tag, cell in cells.items():
-            payload = fam.encode(cell)
+            text = json.dumps(fam.encode(cell), sort_keys=True)
             # through real JSON, like the store does
-            restored = fam.decode(json.loads(json.dumps(payload)))
+            restored = fam.decode(json.loads(text))
             assert restored == cell, f"{name}/{tag} lost fidelity"
             assert type(restored) is type(cell)
+            # 1 == 1.0 in Python; only the re-encoded text shows int/float drift
+            assert json.dumps(fam.encode(restored), sort_keys=True) == text, f"{name}/{tag} drifted"
+
+    def test_unsupported_annotation_fails_at_registration(self):
+        @dataclass
+        class Unmappable:
+            tag: str
+            members: FrozenSet[str]
+
+        try:
+            with pytest.raises(TypeError, match=r"'unmappable'.*Unmappable\.members"):
+                registry.register_family(registry.ExperimentFamily(
+                    name="unmappable", order=9999, result_type=Unmappable,
+                    probe_factory=lambda knobs: lambda bed: {}, default_selected=False,
+                ))
+            assert registry.get("unmappable") is None
+        finally:
+            registry._FAMILIES.pop("unmappable", None)
 
     def test_udp1_tuples_restored(self, results):
         fam = registry.family("udp1")

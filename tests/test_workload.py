@@ -23,11 +23,7 @@ from repro.netsim.sim import Simulation
 from repro.workload.families import (
     FwCostProbe,
     WorkloadMixProbe,
-    decode_fwcost_result,
-    decode_workload_result,
     default_load_ramp,
-    encode_fwcost_result,
-    encode_workload_result,
     parse_points,
 )
 from repro.workload.generator import WorkloadGenerator, WorkloadServer
@@ -35,6 +31,8 @@ from repro.workload.mixes import MIXES, flows_for_subscriber, mix_for
 from tests.conftest import make_profile
 
 WORKLOAD_FAMILIES = ["workload_mix", "fwcost_scaling"]
+WORKLOAD = registry.family("workload_mix")
+FWCOST = registry.family("fwcost_scaling")
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +107,7 @@ class TestGeneratorState:
         # into the second.
         first = WorkloadMixProbe(ramp_spec="1,2").run_all(self._bed())["dev"]
         second = WorkloadMixProbe(ramp_spec="1,2").run_all(self._bed())["dev"]
-        assert encode_workload_result(first) == encode_workload_result(second)
+        assert WORKLOAD.encode(first) == WORKLOAD.encode(second)
 
     def test_load_point_beyond_population_rejected(self):
         bed = self._bed()
@@ -152,18 +150,18 @@ class TestWorkloadMixProbe:
         assert occupancy[0] < occupancy[-1]
 
     def test_seed_moves_the_mix(self):
-        assert encode_workload_result(self._run(seed=7)) != encode_workload_result(
+        assert WORKLOAD.encode(self._run(seed=7)) != WORKLOAD.encode(
             self._run(seed=11)
         )
 
     def test_mix_knob_moves_the_mix(self):
-        assert encode_workload_result(self._run()) != encode_workload_result(
+        assert WORKLOAD.encode(self._run()) != WORKLOAD.encode(
             self._run(mix_name="p2p-heavy")
         )
 
     def test_codec_round_trips_exactly(self):
         cell = self._run()
-        restored = decode_workload_result(encode_workload_result(cell))
+        restored = WORKLOAD.decode(WORKLOAD.encode(cell))
         assert restored == cell
         assert type(restored) is type(cell)
 
@@ -203,7 +201,7 @@ class TestFwCostProbe:
 
     def test_codec_round_trips_exactly(self):
         cell = self._run()
-        restored = decode_fwcost_result(encode_fwcost_result(cell))
+        restored = FWCOST.decode(FWCOST.encode(cell))
         assert restored == cell
         assert type(restored) is type(cell)
 
